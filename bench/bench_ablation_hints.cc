@@ -31,9 +31,8 @@ main(int argc, char **argv)
     bench::SuiteRun suite_run("ablation_hints", args);
     sim::BatchRunner runner(args.jobs);
 
-    // Phase 1: profile every workload concurrently — the hinted
-    // configs below depend on each workload's own difficult set, so
-    // this cannot be expressed as a shared-variant matrix.
+    // Phase 1: profile every workload concurrently for its
+    // difficult-path set.
     std::vector<std::vector<core::PathId>> hints(suite.size());
     std::vector<double> profile_seconds(suite.size());
     runner.forEach(suite.size(), [&](size_t w) {
@@ -51,34 +50,24 @@ main(int argc, char **argv)
                                    profile_seconds[w]);
 
     // Phase 2: four runs per workload (baseline / dynamic / hinted /
-    // hinted+throttle), all cells across the pool.
-    const char *const variant_names[4] = {"baseline", "dynamic",
-                                          "hinted", "hinted+throttle"};
-    std::vector<std::vector<sim::BatchResult>> results(
-        suite.size(), std::vector<sim::BatchResult>(4));
-    runner.forEach(suite.size() * 4, [&](size_t cell) {
-        size_t w = cell / 4;
-        size_t v = cell % 4;
+    // hinted+throttle); the hinted variants take each workload's own
+    // difficult set from phase 1.
+    std::vector<bench::ConfigVariant> variants;
+    {
         sim::MachineConfig cfg;
-        if (v >= 1)
-            cfg.mode = sim::Mode::Microthread;
-        if (v >= 2)
-            cfg.staticDifficultHints = hints[w];
-        if (v == 3)
-            cfg.throttleEnabled = true;
-        auto start = std::chrono::steady_clock::now();
-        results[w][v].stats =
-            sim::runProgram(suite[w].make({}), cfg);
-        results[w][v].hostSeconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-    });
-    for (size_t w = 0; w < suite.size(); w++)
-        for (size_t v = 0; v < 4; v++)
-            suite_run.json().addRun(suite[w].name, variant_names[v],
-                                    results[w][v].hostSeconds,
-                                    results[w][v].stats);
+        variants.push_back({"baseline", cfg});
+        cfg.mode = sim::Mode::Microthread;
+        variants.push_back({"dynamic", cfg});
+        variants.push_back({"hinted", cfg});
+        cfg.throttleEnabled = true;
+        variants.push_back({"hinted+throttle", cfg});
+    }
+    auto results = bench::runMatrix(
+        suite, variants, args, suite_run.json(),
+        [&](size_t w, size_t v, sim::MachineConfig &cfg) {
+            if (v >= 2)
+                cfg.staticDifficultHints = hints[w];
+        });
 
     std::printf("Ablation: dynamic vs profile-hinted promotion, and "
                 "the usefulness throttle\n(n = 10, T = .10)\n\n");

@@ -2,10 +2,10 @@
  * @file
  * Shared helpers for the paper-reproduction bench binaries.
  *
- * Every bench parses its flags in one pass (parseArgs), fans its
- * (workload, config) cells across host cores (runMatrix /
- * sim::BatchRunner), and records wall-clock plus per-cell host
- * timing into a BENCH_<name>.json file (SuiteRun / sim::BenchJson).
+ * Every bench parses its flags in one pass (parseArgs), runs its
+ * (workload, config) cells as one sim::BatchRunner batch
+ * (runMatrix), and records wall-clock plus per-cell host timing into
+ * a BENCH_<name>.json file (SuiteRun / sim::BenchJson).
  */
 
 #ifndef SSMT_BENCH_BENCH_UTIL_HH
@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -21,9 +22,7 @@
 #include "sim/batch_runner.hh"
 #include "sim/jobs.hh"
 #include "sim/bench_json.hh"
-#include "sim/invariants.hh"
 #include "sim/machine_config.hh"
-#include "sim/sim_runner.hh"
 #include "workloads/workloads.hh"
 
 namespace ssmt
@@ -176,77 +175,50 @@ class SuiteRun
     std::chrono::steady_clock::time_point start_;
 };
 
-/** SSMT_ISOLATE=1 routes every bench cell through the subprocess
- *  isolation path (sandboxed child per cell). Counters are identical
- *  either way; only the host timings differ. */
-inline bool
-isolateRequested()
-{
-    const char *env = std::getenv("SSMT_ISOLATE");
-    return env && *env != '\0' && std::string(env) != "0";
-}
-
 /**
- * Run every (workload, variant) cell across the pool and return the
- * results as [workload][variant], recording each cell into @p json.
- * Program construction happens inside the cell so it parallelizes
- * with the simulation. Results are identical to the serial loops the
- * benches used to run, independent of the worker count — and of
- * whether SSMT_ISOLATE rides the cells in child processes.
+ * Run every (workload, variant) cell as one sim::BatchJob across the
+ * pool and return the results as [workload][variant], recording each
+ * cell into @p json. @p tweak, when set, adjusts cell (w, v)'s config
+ * before it is queued (per-workload knobs such as profile hints).
+ * Results are independent of the worker count. A failed cell is a
+ * simulator bug that must never reach a results table: print the
+ * failure summary and exit 1.
  */
 inline std::vector<std::vector<sim::BatchResult>>
 runMatrix(const std::vector<workloads::WorkloadInfo> &suite,
           const std::vector<ConfigVariant> &variants, const Args &args,
-          sim::BenchJson &json)
+          sim::BenchJson &json,
+          const std::function<void(size_t, size_t, sim::MachineConfig &)>
+              &tweak = {})
 {
-    sim::BatchRunner runner(args.jobs);
-    std::vector<std::vector<sim::BatchResult>> results(
-        suite.size(), std::vector<sim::BatchResult>(variants.size()));
-    if (isolateRequested()) {
-        std::vector<sim::BatchJob> batch;
-        batch.reserve(suite.size() * variants.size());
-        for (const auto &info : suite)
-            for (const ConfigVariant &variant : variants)
-                batch.push_back({info.name + "/" + variant.name,
-                                 info.make({}), variant.cfg});
-        sim::BatchPolicy policy;
-        policy.isolate = true;
-        std::vector<sim::BatchResult> flat =
-            runner.run(batch, policy);
-        for (size_t cell = 0; cell < flat.size(); cell++) {
-            if (!flat[cell].ok()) {
-                std::fprintf(stderr, "[bench] %s failed: %s\n",
-                             batch[cell].name.c_str(),
-                             flat[cell].error.c_str());
-                std::exit(1);
-            }
-            results[cell / variants.size()][cell % variants.size()] =
-                std::move(flat[cell]);
+    std::vector<sim::BatchJob> batch;
+    batch.reserve(suite.size() * variants.size());
+    for (size_t w = 0; w < suite.size(); w++) {
+        isa::Program program = suite[w].make({});
+        for (size_t v = 0; v < variants.size(); v++) {
+            sim::BatchJob job{suite[w].name + "/" + variants[v].name,
+                              program, variants[v].cfg};
+            if (tweak)
+                tweak(w, v, job.config);
+            batch.push_back(std::move(job));
         }
-    } else {
-        runner.forEach(
-            suite.size() * variants.size(), [&](size_t cell) {
-                size_t w = cell / variants.size();
-                size_t v = cell % variants.size();
-                auto start = std::chrono::steady_clock::now();
-                results[w][v].stats = sim::runProgram(
-                    suite[w].make({}), variants[v].cfg);
-                // Name the cell in the invariant diagnostic;
-                // runProgram's own check only knows the mode.
-                sim::StatsChecker::enforce(results[w][v].stats,
-                                           suite[w].name + "/" +
-                                               variants[v].name);
-                results[w][v].hostSeconds =
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-            });
     }
-    for (size_t w = 0; w < suite.size(); w++)
-        for (size_t v = 0; v < variants.size(); v++)
-            json.addRun(suite[w].name, variants[v].name,
-                        results[w][v].hostSeconds,
-                        results[w][v].stats);
+    std::vector<sim::BatchResult> flat =
+        sim::BatchRunner(args.jobs).run(batch);
+    std::string failures = sim::BatchRunner::failureSummary(batch, flat);
+    if (!failures.empty()) {
+        std::fprintf(stderr, "[bench] failed cells:\n%s",
+                     failures.c_str());
+        std::exit(1);
+    }
+    std::vector<std::vector<sim::BatchResult>> results(suite.size());
+    for (size_t cell = 0; cell < flat.size(); cell++) {
+        size_t w = cell / variants.size();
+        size_t v = cell % variants.size();
+        json.addRun(suite[w].name, variants[v].name,
+                    flat[cell].hostSeconds, flat[cell].stats);
+        results[w].push_back(std::move(flat[cell]));
+    }
     return results;
 }
 

@@ -11,17 +11,13 @@
  *   ./ssmt_sim --workload li --profile-hints /tmp/li.hints
  *   ./ssmt_sim --workload li --mode microthread \
  *              --hints /tmp/li.hints --throttle
- *   ./ssmt_sim --suite --mode microthread --jobs 8
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
-#include "sim/batch_runner.hh"
-#include "sim/bench_json.hh"
 #include "sim/path_profiler.hh"
 #include "sim/sim_runner.hh"
 #include "workloads/workloads.hh"
@@ -38,10 +34,6 @@ usage()
         "usage: ssmt_sim [options]\n"
         "  --list                 list suite workloads and exit\n"
         "  --workload NAME        workload to run (default: go)\n"
-        "  --suite                run every suite workload under the\n"
-        "                         chosen config, in parallel\n"
-        "  --jobs N               worker threads for --suite\n"
-        "                         (default: SSMT_JOBS, then all cores)\n"
         "  --mode MODE            baseline | microthread | overhead |\n"
         "                         oracle-paths | oracle-all\n"
         "  --n N                  path depth (default 10)\n"
@@ -86,8 +78,6 @@ main(int argc, char **argv)
     sim::MachineConfig cfg;
     workloads::WorkloadParams params;
     bool report = false;
-    bool run_suite = false;
-    unsigned jobs = 0;
 
     for (int i = 1; i < argc; i++) {
         std::string arg = argv[i];
@@ -106,16 +96,6 @@ main(int argc, char **argv)
             return 0;
         } else if (arg == "--workload") {
             workload = next();
-        } else if (arg == "--suite") {
-            run_suite = true;
-        } else if (arg == "--jobs") {
-            long parsed = std::strtol(next(), nullptr, 10);
-            if (parsed <= 0) {
-                std::fprintf(stderr,
-                             "--jobs wants a positive integer\n");
-                return 2;
-            }
-            jobs = static_cast<unsigned>(parsed);
         } else if (arg == "--mode") {
             if (!parseMode(next(), cfg.mode)) {
                 std::fprintf(stderr, "unknown mode\n");
@@ -150,43 +130,6 @@ main(int argc, char **argv)
             usage();
             return 2;
         }
-    }
-
-    if (run_suite) {
-        // One BatchJob per suite workload; results come back in
-        // workload order regardless of the worker count.
-        sim::BatchRunner runner(jobs);
-        std::vector<sim::BatchJob> batch;
-        for (const auto &info : workloads::allWorkloads())
-            batch.push_back({info.name, info.make(params), cfg});
-        auto start = std::chrono::steady_clock::now();
-        std::vector<sim::BatchResult> results = runner.run(batch);
-        double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-
-        sim::BenchJson json("ssmt_sim", runner.jobs(), false);
-        for (size_t i = 0; i < batch.size(); i++) {
-            const sim::Stats &stats = results[i].stats;
-            std::printf("%-12s %-12s IPC %.4f over %9llu insts / "
-                        "%9llu cycles, used mispredict %.4f "
-                        "(%.2fs)\n",
-                        batch[i].name.c_str(),
-                        sim::modeName(cfg.mode), stats.ipc(),
-                        static_cast<unsigned long long>(
-                            stats.retiredInsts),
-                        static_cast<unsigned long long>(stats.cycles),
-                        stats.usedMispredictRate(),
-                        results[i].hostSeconds);
-            json.addRun(batch[i].name, sim::modeName(cfg.mode),
-                        results[i].hostSeconds, stats);
-        }
-        json.setSuiteWallSeconds(wall);
-        std::string path = json.writeFile();
-        std::printf("[suite] %zu workloads, %u jobs, wall %.2fs%s%s\n",
-                    batch.size(), runner.jobs(), wall,
-                    path.empty() ? "" : ", wrote ", path.c_str());
-        return 0;
     }
 
     isa::Program prog = workloads::makeWorkload(workload, params);

@@ -3,11 +3,11 @@
  * Centralized worker-count resolution.
  *
  * std::thread::hardware_concurrency() may legally return 0 ("not
- * computable"), and before this header four call sites consulted it
- * independently — BatchRunner, the --jobs auto spelling in
- * cli_common, and the hostThreads metadata in bench_json /
- * throughput_report — each with (or without) its own fallback. The
- * two helpers here are the single implementation:
+ * computable"), and before this header several call sites consulted
+ * it independently — BatchRunner, the --jobs auto spelling in
+ * cli_common, and the hostThreads metadata in bench_json — each with
+ * (or without) its own fallback. The two helpers here are the single
+ * implementation:
  *
  *   hostThreads()        hardware_concurrency with an explicit >= 1
  *                        fallback; use for "how parallel is this

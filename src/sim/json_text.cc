@@ -13,11 +13,17 @@ namespace sim
 namespace
 {
 
+/** Deepest array/object nesting parseJson accepts. The documents the
+ *  simulator writes nest a handful of levels; the cap keeps a hostile
+ *  request line from overflowing the recursive descent's stack. */
+constexpr size_t kMaxDepth = 64;
+
 struct Parser
 {
     const std::string &text;
     size_t pos = 0;
     std::string error;
+    size_t depth = 0;
 
     bool
     fail(const std::string &what)
@@ -25,6 +31,25 @@ struct Parser
         if (error.empty())
             error = what + " at offset " + std::to_string(pos);
         return false;
+    }
+
+    /** Open one array/object level; false past kMaxDepth. */
+    bool
+    enter()
+    {
+        if (depth == kMaxDepth)
+            return fail("nesting deeper than " +
+                        std::to_string(kMaxDepth) + " levels");
+        depth++;
+        return true;
+    }
+
+    /** Close the level enter() opened, passing @p ok through. */
+    bool
+    leave(bool ok)
+    {
+        depth--;
+        return ok;
     }
 
     void
@@ -167,12 +192,14 @@ struct Parser
             return fail("unexpected end of document");
         char c = text[pos];
         if (c == '{') {
+            if (!enter())
+                return false;
             pos++;
             out.kind = JsonValue::Kind::Object;
             skipWs();
             if (pos < text.size() && text[pos] == '}') {
                 pos++;
-                return true;
+                return leave(true);
             }
             for (;;) {
                 std::string key;
@@ -191,16 +218,18 @@ struct Parser
                     skipWs();
                     continue;
                 }
-                return consume('}');
+                return leave(consume('}'));
             }
         }
         if (c == '[') {
+            if (!enter())
+                return false;
             pos++;
             out.kind = JsonValue::Kind::Array;
             skipWs();
             if (pos < text.size() && text[pos] == ']') {
                 pos++;
-                return true;
+                return leave(true);
             }
             for (;;) {
                 JsonValue item;
@@ -212,7 +241,7 @@ struct Parser
                     pos++;
                     continue;
                 }
-                return consume(']');
+                return leave(consume(']'));
             }
         }
         if (c == '"') {

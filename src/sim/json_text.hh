@@ -61,7 +61,9 @@ struct JsonValue
 /**
  * Parse @p text into @p out. @return true on success; on failure
  * @p err (if non-null) receives a message with the byte offset.
- * Trailing non-whitespace after the document is an error.
+ * Trailing non-whitespace after the document is an error, and so is
+ * array/object nesting deeper than 64 levels (a bound on the parser's
+ * recursion, far above anything the simulator writes).
  */
 bool parseJson(const std::string &text, JsonValue &out,
                std::string *err = nullptr);

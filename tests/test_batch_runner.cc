@@ -112,12 +112,19 @@ TEST(BatchRunnerTest, ParallelMatchesSerialBitForBit)
         sim::BatchRunner(1).run(batch);
     std::vector<sim::BatchResult> parallel =
         sim::BatchRunner(8).run(batch);
+    // Re-running the same batch repeats every simulated counter.
+    std::vector<sim::BatchResult> repeat =
+        sim::BatchRunner(8).run(batch);
 
     ASSERT_EQ(serial.size(), batch.size());
     ASSERT_EQ(parallel.size(), batch.size());
-    for (size_t i = 0; i < batch.size(); i++)
+    ASSERT_EQ(repeat.size(), batch.size());
+    for (size_t i = 0; i < batch.size(); i++) {
         expectStatsEqual(serial[i].stats, parallel[i].stats,
                          batch[i].name);
+        expectStatsEqual(parallel[i].stats, repeat[i].stats,
+                         batch[i].name + " (repeat)");
+    }
 }
 
 TEST(BatchRunnerTest, JobsOneRunsSeriallyOnCallingThread)

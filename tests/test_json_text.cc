@@ -3,7 +3,8 @@
  * Edge-case tests for the minimal JSON reader — in particular the
  * number paths: negative values, literals beyond uint64_t range,
  * exponent forms and "-0" must never reach the undefined
- * double-to-uint64_t cast in JsonValue::u64().
+ * double-to-uint64_t cast in JsonValue::u64() — and the nesting
+ * bound that keeps a hostile document off the parser's stack.
  */
 
 #include <cstdint>
@@ -113,6 +114,37 @@ TEST(JsonTextTest, EveryStatsCounterRoundTripsAtUint64Max)
     JsonValue root = parse(doc);
     for (const auto &field : fields)
         EXPECT_EQ(root.u64(field.first, 0), UINT64_MAX) << field.first;
+}
+
+TEST(JsonTextTest, HostileNestingIsRejectedWithoutCrashing)
+{
+    // Without a depth bound, one request line of this shape
+    // overflows the recursive descent's stack.
+    JsonValue root;
+    std::string err;
+    EXPECT_FALSE(sim::parseJson(std::string(100000, '['), root, &err));
+    EXPECT_NE(err.find("nesting deeper than 64 levels at offset 64"),
+              std::string::npos)
+        << err;
+}
+
+TEST(JsonTextTest, NestingAtTheDepthLimitParses)
+{
+    constexpr size_t kLimit = 64;
+    std::string doc = std::string(kLimit - 1, '[') + "{\"n\": 7}" +
+                      std::string(kLimit - 1, ']');
+    const JsonValue root = parse(doc);
+    const JsonValue *v = &root;
+    for (size_t level = 1; level < kLimit; level++) {
+        ASSERT_EQ(v->kind, JsonValue::Kind::Array) << level;
+        ASSERT_EQ(v->items.size(), 1u) << level;
+        v = &v->items[0];
+    }
+    EXPECT_EQ(v->u64("n", 0), 7u);
+
+    // One level more is over the limit.
+    JsonValue deeper;
+    EXPECT_FALSE(sim::parseJson("[" + doc + "]", deeper));
 }
 
 } // namespace

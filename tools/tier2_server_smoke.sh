@@ -2,7 +2,9 @@
 # tier2-server round-trip smoke: start an ssmt_server daemon, submit
 # the same 4-cell campaign from two concurrent thin clients, and
 # require both streamed manifests byte-identical to an in-process
-# runCampaign of the same spec. Then re-submit (all cache hits must
+# runCampaign of the same spec; between the two clients, a hostile
+# deeply nested request line must be rejected without taking the
+# daemon down. Then re-submit (all cache hits must
 # still reproduce the bytes) and run ssmt_verify_golden --server so a
 # remote batch decodes to the same counters as local execution.
 #
@@ -46,6 +48,25 @@ echo "[smoke] two concurrent clients, same spec"
 "$BIN/ssmt_campaign" run --server "$SOCK" --dir "$WORK/client-a" \
     $SPEC_ARGS --quiet &
 CLIENT_A=$!
+
+# A hostile frame between the two clients: one ~200 KB line of '['
+# must come back as an error event, not take the daemon down.
+echo "[smoke] hostile frame: 200000 nested '['"
+python3 - "$SOCK" >"$WORK/hostile.log" 2>&1 <<'PY' || true
+import socket, sys
+s = socket.socket(socket.AF_UNIX)
+s.connect(sys.argv[1])
+s.sendall(b"[" * 200000 + b"\n")
+print(s.makefile().readline().strip())
+PY
+if ! grep -q "nesting deeper than" "$WORK/hostile.log" ||
+        ! kill -0 "$SERVER_PID" 2>/dev/null; then
+    echo "[smoke] FAIL: hostile frame was not rejected cleanly" >&2
+    cat "$WORK/hostile.log" "$WORK/server.log" >&2
+    exit 1
+fi
+echo "[smoke] hostile frame rejected, daemon still serving"
+
 # shellcheck disable=SC2086
 "$BIN/ssmt_campaign" run --server "$SOCK" --dir "$WORK/client-b" \
     $SPEC_ARGS --quiet &
