@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
+#include <type_traits>
 
 #include "isa/builder.hh"
 #include "isa/executor.hh"
@@ -28,13 +30,23 @@ evalRRR(Opcode op, uint64_t a, uint64_t b)
     return step(inst, 0, regs, mem).value;
 }
 
+// gtest names each case by the raw bytes of its parameter, so the
+// padding is spelled out as zeroed members: uninitialised padding
+// would give the same case a different name on every run.
 struct AluCase
 {
+    AluCase(Opcode op, uint64_t a, uint64_t b, uint64_t expected)
+        : op(op), a(a), b(b), expected(expected)
+    {
+    }
+
     Opcode op;
+    uint8_t pad[7] = {};
     uint64_t a;
     uint64_t b;
     uint64_t expected;
 };
+static_assert(std::has_unique_object_representations_v<AluCase>);
 
 class AluSemantics : public testing::TestWithParam<AluCase>
 {

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "core/microthread.hh"
 #include "core/uthread_builder.hh"
 #include "prb_fixture.hh"
@@ -113,13 +116,24 @@ TEST(ValidateTest, PathCoverageMismatchInvalid)
     EXPECT_NE(validateMicroThread(t), nullptr);
 }
 
+// Padding spelled out as zeroed members so gtest's byte-dump case
+// names are the same on every run (see AluCase in
+// test_isa_executor.cc).
 struct CondCase
 {
+    CondCase(Opcode op, uint64_t a, uint64_t b, bool taken)
+        : op(op), a(a), b(b), taken(taken)
+    {
+    }
+
     Opcode op;
+    uint8_t pad0[7] = {};
     uint64_t a;
     uint64_t b;
     bool taken;
+    uint8_t pad1[7] = {};
 };
+static_assert(std::has_unique_object_representations_v<CondCase>);
 
 class EvalStorePCache : public testing::TestWithParam<CondCase>
 {
