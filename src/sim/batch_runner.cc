@@ -61,12 +61,6 @@ BatchRunner::BatchRunner(unsigned jobs) : jobs_(resolveJobs(jobs))
 {
 }
 
-unsigned
-BatchRunner::resolveJobs(unsigned requested)
-{
-    return sim::resolveJobs(requested);
-}
-
 void
 BatchRunner::forEach(size_t n, const std::function<void(size_t)> &fn) const
 {

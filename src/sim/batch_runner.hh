@@ -3,12 +3,11 @@
  * BatchRunner: fans independent (Program, MachineConfig) simulation
  * jobs out across host cores, bounded by this runner's jobs() cap.
  *
- * Since the taskrt refactor the runner owns no threads of its own:
- * it multiplexes onto the process-wide work-stealing
- * sim::TaskRuntime pool (sim/taskrt.hh), so concurrent batches —
- * e.g. two campaigns in one ssmt_server — share workers instead of
- * oversubscribing the host. A BatchRunner is just a parallelism cap
- * plus batch/retry policy around that pool.
+ * The runner owns no threads of its own: it multiplexes onto the
+ * process-wide sim::TaskRuntime pool (sim/taskrt.hh), so concurrent
+ * batches — e.g. two campaigns in one ssmt_server — share workers
+ * instead of oversubscribing the host. A BatchRunner is just a
+ * parallelism cap plus batch/retry policy around that pool.
  *
  * Every experiment cell in the paper-reproduction suite — a workload
  * under a machine configuration — is an isolated SsmtCore, so cells
@@ -176,9 +175,6 @@ class BatchRunner
     explicit BatchRunner(unsigned jobs = 0);
 
     unsigned jobs() const { return jobs_; }
-
-    /** Resolve a requested worker count per the header rules. */
-    static unsigned resolveJobs(unsigned requested);
 
     /**
      * Deterministic parallel-for: invoke @p fn(i) for every

@@ -117,6 +117,12 @@ specJson(const CampaignSpec &spec)
     return w.text();
 }
 
+std::string
+specHash(const CampaignSpec &spec)
+{
+    return hex16(fnv1a(specJson(spec)));
+}
+
 CampaignSpec
 parseSpec(const std::string &text)
 {

@@ -95,6 +95,10 @@ struct CampaignSpec
  *  only) — the identity the journal pins. */
 std::string specJson(const CampaignSpec &spec);
 
+/** 16 hex digits of FNV-1a 64 over specJson(@p spec): the short
+ *  campaign identity that names ssmt_server's c-<hash> directories. */
+std::string specHash(const CampaignSpec &spec);
+
 /** Inverse of specJson. Throws SimError(ParseError) on malformed
  *  text or unknown mode/crash/fault-site names. */
 CampaignSpec parseSpec(const std::string &text);

@@ -48,18 +48,15 @@ backoffDelayMs(const BatchPolicy &policy, unsigned attempt)
 }
 
 /**
- * Scheduling state of one job in the parent. The attempt chain lives
- * in a TaskGraph: each attempt is a node, and a retry/resume is a new
- * node with a dependency edge on its predecessor — so
- * checkpoint→resume sequencing is explicit graph structure, the same
- * shape the in-process TaskRuntime schedules. `node` always names the
- * job's *current* attempt; graph.done(node) means the whole job is
- * finished (its final attempt was completed with no successor).
+ * Scheduling state of one job in the parent. A job runs its attempts
+ * in a straight line: `attempt` names the next one to launch, a
+ * retry/resume bumps it behind a backoff gate, and `finished` marks
+ * the job's final attempt as done.
  */
 struct JobState
 {
-    TaskId node = 0;                ///< current attempt's graph node
-    bool running = false;           ///< a child is live for `node`
+    bool running = false;           ///< a child is live for `attempt`
+    bool finished = false;          ///< final attempt done
     unsigned attempt = 0;           ///< next attempt to launch
     std::string checkpoint;         ///< watchdog-resume snapshot
     Clock::time_point eligibleAt{}; ///< backoff gate (pending only)
@@ -197,29 +194,17 @@ runBatchIsolated(const std::vector<BatchJob> &batch,
     const size_t max_children =
         std::max<size_t>(1, std::min<size_t>(workers, n));
     std::vector<JobState> jobs(n);
-    // Attempt chains as explicit graph structure; single-threaded
-    // scheduler, so no lock (see TaskGraph).
-    TaskGraph graph;
-    for (size_t i = 0; i < n; i++)
-        jobs[i].node = graph.add();
     std::vector<ChildSlot> slots;
     slots.reserve(max_children);
     size_t done = 0;
     bool cancelled = false;
 
     auto pending = [&](size_t i) {
-        return !jobs[i].running && !graph.done(jobs[i].node);
+        return !jobs[i].running && !jobs[i].finished;
     };
 
-    // Retire the current attempt node and chain the next one behind
-    // it (the completed edge releases it immediately; eligibleAt adds
-    // the wall-clock backoff gate the graph doesn't model).
-    auto chainNextAttempt = [&](size_t i) {
-        TaskId next = graph.add({jobs[i].node});
-        graph.complete(jobs[i].node);
-        SSMT_ASSERT(graph.ready(next),
-                    "isolate: retry node not released");
-        jobs[i].node = next;
+    // Queue the next attempt behind its backoff gate.
+    auto scheduleNextAttempt = [&](size_t i) {
         jobs[i].attempt++;
         jobs[i].eligibleAt =
             Clock::now() +
@@ -228,7 +213,7 @@ runBatchIsolated(const std::vector<BatchJob> &batch,
     };
 
     auto completeJob = [&](size_t i) {
-        graph.complete(jobs[i].node);
+        jobs[i].finished = true;
         done++;
         results[i].hostSeconds = secondsSince(jobs[i].startedAt);
         if (!results[i].ok()) {
@@ -248,7 +233,7 @@ runBatchIsolated(const std::vector<BatchJob> &batch,
         results[i].error = msg;
         results[i].attempts = jobs[i].attempt + 1;
         if (jobs[i].attempt < policy.maxRetries) {
-            chainNextAttempt(i);
+            scheduleNextAttempt(i);
         } else {
             completeJob(i);
         }
@@ -340,7 +325,7 @@ runBatchIsolated(const std::vector<BatchJob> &batch,
                     jobs[i].attempt >= policy.maxRetries) {
                     completeJob(i);
                 } else {
-                    chainNextAttempt(i);
+                    scheduleNextAttempt(i);
                 }
             } catch (const SimError &err) {
                 failAttempt(i, ErrorCode::JobCrashed,
@@ -375,8 +360,7 @@ runBatchIsolated(const std::vector<BatchJob> &batch,
             auto now = Clock::now();
             for (size_t i = 0;
                  i < n && slots.size() < max_children; i++) {
-                if (pending(i) && graph.ready(jobs[i].node) &&
-                    jobs[i].eligibleAt <= now)
+                if (pending(i) && jobs[i].eligibleAt <= now)
                     spawn(i);
             }
         }

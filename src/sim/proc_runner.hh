@@ -11,9 +11,8 @@
  * a single-threaded event loop — poll() over child pipes, nonblocking
  * drains, wall-clock deadline SIGKILLs, waitpid reaping — that
  * schedules up to `workers` concurrent children and drives retries
- * with exponential backoff. Each job's attempt chain (retry,
- * checkpoint→resume) is sequenced through a sim::TaskGraph: every
- * attempt is a node, a retry is a node depending on its predecessor.
+ * with exponential backoff. Each job's attempts (retry,
+ * checkpoint→resume) run in a straight line, one child at a time.
  *
  * Containment contract: a child that segfaults, aborts, OOMs, hangs
  * past its deadline or exits without a result becomes a typed error

@@ -4,7 +4,6 @@
 #include <exception>
 
 #include "sim/jobs.hh"
-#include "sim/logging.hh"
 
 namespace ssmt
 {
@@ -14,115 +13,16 @@ namespace sim
 namespace
 {
 
-/** Worker index of the current thread in *its* pool, or -1 when the
- *  thread is not a pool worker. One slot suffices: workers never run
- *  tasks for a pool other than their own. */
-thread_local int tls_worker_index = -1;
+/** True on pool worker threads (of any pool): forEach from a worker
+ *  must run serially, since blocking it on the pool it occupies could
+ *  deadlock. */
+thread_local bool tls_in_pool = false;
 
-TaskId
-makeId(uint32_t index, uint32_t gen)
-{
-    return (static_cast<uint64_t>(gen) << 32) | index;
-}
+/** The shared pool once shared() has built it; ForkGuard reads it so
+ *  that quiescing never *creates* a pool. */
+std::atomic<TaskRuntime *> g_shared{nullptr};
 
 } // namespace
-
-// --------------------------------------------------------------------
-// TaskGraph
-// --------------------------------------------------------------------
-
-const TaskGraph::Node *
-TaskGraph::liveNode(TaskId id) const
-{
-    uint32_t idx = indexOf(id);
-    if (idx >= nodes_.size())
-        return nullptr;
-    const Node &n = nodes_[idx];
-    if (!n.live || n.gen != genOf(id))
-        return nullptr;
-    return &n;
-}
-
-TaskId
-TaskGraph::add(const std::vector<TaskId> &deps)
-{
-    uint32_t idx;
-    if (!free_.empty()) {
-        idx = free_.back();
-        free_.pop_back();
-    } else {
-        idx = static_cast<uint32_t>(nodes_.size());
-        nodes_.emplace_back();
-    }
-    Node &n = nodes_[idx];
-    n.live = true;
-    n.remaining = 0;
-    n.dependents.clear();
-    TaskId id = makeId(idx, n.gen);
-
-    for (TaskId dep : deps) {
-        // A completed/stale dependency is already satisfied.
-        uint32_t didx = indexOf(dep);
-        if (didx >= nodes_.size())
-            continue;
-        Node &d = nodes_[didx];
-        if (!d.live || d.gen != genOf(dep))
-            continue;
-        d.dependents.push_back(idx);
-        nodes_[idx].remaining++;
-    }
-    live_++;
-    return id;
-}
-
-bool
-TaskGraph::done(TaskId id) const
-{
-    return liveNode(id) == nullptr;
-}
-
-bool
-TaskGraph::ready(TaskId id) const
-{
-    const Node *n = liveNode(id);
-    return n && n->remaining == 0;
-}
-
-std::vector<TaskId>
-TaskGraph::complete(TaskId id)
-{
-    uint32_t idx = indexOf(id);
-    SSMT_ASSERT(idx < nodes_.size(), "TaskGraph::complete: bad id");
-    Node &n = nodes_[idx];
-    SSMT_ASSERT(n.live && n.gen == genOf(id),
-                "TaskGraph::complete: stale id");
-    SSMT_ASSERT(n.remaining == 0,
-                "TaskGraph::complete: node not ready");
-
-    std::vector<TaskId> released;
-    std::vector<uint32_t> dependents;
-    dependents.swap(n.dependents);
-    std::sort(dependents.begin(), dependents.end());
-    for (uint32_t didx : dependents) {
-        Node &d = nodes_[didx];
-        SSMT_ASSERT(d.live && d.remaining > 0,
-                    "TaskGraph::complete: corrupt dependent");
-        if (--d.remaining == 0)
-            released.push_back(makeId(didx, d.gen));
-    }
-
-    n.live = false;
-    n.gen++;            // retire this generation of the slot
-    if (n.gen == 0)
-        n.gen = 1;      // keep ids valid after generation wraparound
-    free_.push_back(idx);
-    live_--;
-    return released;
-}
-
-// --------------------------------------------------------------------
-// TaskRuntime
-// --------------------------------------------------------------------
 
 TaskRuntime::TaskRuntime(unsigned workers)
 {
@@ -132,209 +32,44 @@ TaskRuntime::TaskRuntime(unsigned workers)
 TaskRuntime::~TaskRuntime()
 {
     {
-        std::lock_guard<std::mutex> l(idleMutex_);
+        std::lock_guard<std::mutex> l(mutex_);
         stop_ = true;
     }
     workCv_.notify_all();
-    unsigned count = workerCount_.load(std::memory_order_acquire);
-    for (unsigned i = 0; i < count; i++) {
-        if (workers_[i] && workers_[i]->thread.joinable())
-            workers_[i]->thread.join();
-    }
+    for (std::thread &t : threads_)
+        t.join();
 }
 
 void
 TaskRuntime::ensureWorkers(unsigned want)
 {
     want = std::min(want, kMaxWorkers);
-    // Serialize growth; reuse idleMutex_ (growth is rare).
-    std::lock_guard<std::mutex> l(idleMutex_);
-    unsigned have = workerCount_.load(std::memory_order_relaxed);
-    if (stop_ || want <= have)
+    std::lock_guard<std::mutex> l(mutex_);
+    if (stop_)
         return;
-    for (unsigned i = have; i < want; i++) {
-        workers_[i] = std::make_unique<Worker>();
-        workers_[i]->thread =
-            std::thread([this, i] { workerMain(i); });
-    }
-    workerCount_.store(want, std::memory_order_release);
+    while (threads_.size() < want)
+        threads_.emplace_back([this] { workerMain(); });
+    workerCount_.store(static_cast<unsigned>(threads_.size()),
+                       std::memory_order_release);
 }
 
 void
-TaskRuntime::notifyWorkers()
+TaskRuntime::workerMain()
 {
-    version_.fetch_add(1, std::memory_order_release);
-    {
-        // Empty critical section closes the check-then-sleep race:
-        // a worker that saw the old version is either past the lock
-        // (and will re-check) or inside wait (and gets the notify).
-        std::lock_guard<std::mutex> l(idleMutex_);
-    }
-    workCv_.notify_all();
-}
-
-void
-TaskRuntime::enqueueReady(TaskId id, int preferWorker)
-{
-    unsigned count = workerCount_.load(std::memory_order_acquire);
-    SSMT_ASSERT(count > 0, "TaskRuntime: no workers");
-    unsigned target;
-    if (preferWorker >= 0 && static_cast<unsigned>(preferWorker) < count) {
-        target = static_cast<unsigned>(preferWorker);
-        Worker &w = *workers_[target];
-        std::unique_lock<std::mutex> l(w.dequeMutex);
-        if (w.deque.size() < kDequeCapacity) {
-            w.deque.push_back(id);      // owner's bottom
-            l.unlock();
-            notifyWorkers();
-            return;
-        }
-        // Deque full: fall through to this worker's inbox.
-    } else {
-        target = rr_.fetch_add(1, std::memory_order_relaxed) % count;
-    }
-    Worker &w = *workers_[target];
-    {
-        std::lock_guard<std::mutex> l(w.inboxMutex);
-        w.inbox.push_back(id);
-    }
-    notifyWorkers();
-}
-
-TaskId
-TaskRuntime::submit(TaskFn fn, const std::vector<TaskId> &deps)
-{
-    TaskId id;
-    bool runnable;
-    {
-        std::lock_guard<std::mutex> l(graphMutex_);
-        id = graph_.add(deps);
-        uint32_t slot = static_cast<uint32_t>(id & 0xffffffffu);
-        if (slot >= fns_.size())
-            fns_.resize(slot + 1);
-        fns_[slot] = std::move(fn);
-        runnable = graph_.ready(id);
-    }
-    if (runnable)
-        enqueueReady(id, tls_worker_index);
-    return id;
-}
-
-void
-TaskRuntime::wait(TaskId id)
-{
-    SSMT_ASSERT(tls_worker_index < 0,
-                "TaskRuntime::wait from a pool worker");
-    std::unique_lock<std::mutex> l(graphMutex_);
-    doneCv_.wait(l, [&] { return graph_.done(id); });
-}
-
-void
-TaskRuntime::runTask(TaskId id)
-{
-    TaskFn fn;
-    {
-        std::lock_guard<std::mutex> l(graphMutex_);
-        uint32_t slot = static_cast<uint32_t>(id & 0xffffffffu);
-        SSMT_ASSERT(slot < fns_.size(), "TaskRuntime: no fn for task");
-        fn = std::move(fns_[slot]);
-        fns_[slot] = nullptr;
-    }
-
-    {
-        // Shared execution lock: ForkGuard drains workers by taking
-        // it exclusive.
-        std::shared_lock<std::shared_mutex> exec(execMutex_);
-        try {
-            if (fn)
-                fn();
-        } catch (const std::exception &e) {
-            SSMT_WARN(std::string("taskrt: task threw: ") + e.what());
-        } catch (...) {
-            SSMT_WARN("taskrt: task threw a non-exception");
-        }
-    }
-
-    std::vector<TaskId> released;
-    {
-        std::lock_guard<std::mutex> l(graphMutex_);
-        released = graph_.complete(id);
-    }
-    doneCv_.notify_all();
-    for (TaskId r : released)
-        enqueueReady(r, tls_worker_index);
-}
-
-bool
-TaskRuntime::tryGetWork(unsigned self, TaskId *out)
-{
-    unsigned count = workerCount_.load(std::memory_order_acquire);
-    Worker &me = *workers_[self];
-
-    // 1. Own deque, LIFO bottom.
-    {
-        std::lock_guard<std::mutex> l(me.dequeMutex);
-        if (!me.deque.empty()) {
-            *out = me.deque.back();
-            me.deque.pop_back();
-            return true;
-        }
-    }
-    // 2. Own submission channel (FIFO).
-    {
-        std::lock_guard<std::mutex> l(me.inboxMutex);
-        if (!me.inbox.empty()) {
-            *out = me.inbox.front();
-            me.inbox.erase(me.inbox.begin());
-            return true;
-        }
-    }
-    // 3. Steal: victims' deque tops, then their inboxes, scanning
-    //    round-robin from our right neighbour.
-    for (unsigned off = 1; off < count; off++) {
-        Worker &v = *workers_[(self + off) % count];
-        {
-            std::lock_guard<std::mutex> l(v.dequeMutex);
-            if (!v.deque.empty()) {
-                *out = v.deque.front();     // thief's top
-                v.deque.erase(v.deque.begin());
-                return true;
-            }
-        }
-        {
-            std::lock_guard<std::mutex> l(v.inboxMutex);
-            if (!v.inbox.empty()) {
-                *out = v.inbox.front();
-                v.inbox.erase(v.inbox.begin());
-                return true;
-            }
-        }
-    }
-    return false;
-}
-
-void
-TaskRuntime::workerMain(unsigned self)
-{
-    tls_worker_index = static_cast<int>(self);
+    tls_in_pool = true;
+    std::unique_lock<std::mutex> l(mutex_);
     for (;;) {
-        uint64_t seen = version_.load(std::memory_order_acquire);
-        TaskId id;
-        if (tryGetWork(self, &id)) {
-            runTask(id);
-            continue;
+        workCv_.wait(l, [&] { return stop_ || !queue_.empty(); });
+        if (queue_.empty())
+            return;     // stopping, and nothing left to run
+        std::function<void()> task = std::move(queue_.front());
+        queue_.pop_front();
+        l.unlock();
+        {
+            std::shared_lock<std::shared_mutex> exec(execMutex_);
+            task();
         }
-        std::unique_lock<std::mutex> l(idleMutex_);
-        if (stop_)
-            break;
-        if (version_.load(std::memory_order_acquire) != seen)
-            continue;       // new work arrived since we last looked
-        workCv_.wait(l, [&] {
-            return stop_ ||
-                   version_.load(std::memory_order_acquire) != seen;
-        });
-        if (stop_)
-            break;
+        l.lock();
     }
 }
 
@@ -345,8 +80,8 @@ TaskRuntime::forEach(size_t n, const std::function<void(size_t)> &fn,
     if (n == 0)
         return;
     unsigned cap = maxParallel > 0 ? maxParallel : workers();
-    cap = std::min<unsigned>(cap, workers());
-    if (n == 1 || cap <= 1 || tls_worker_index >= 0) {
+    cap = std::min(cap, workers());
+    if (n == 1 || cap <= 1 || tls_in_pool) {
         // Serial path: exception-transparent, and the only safe
         // shape when the caller is itself a pool worker.
         for (size_t i = 0; i < n; i++)
@@ -354,32 +89,47 @@ TaskRuntime::forEach(size_t n, const std::function<void(size_t)> &fn,
         return;
     }
 
-    unsigned spawn = static_cast<unsigned>(
-        std::min<size_t>(cap, n));
+    const unsigned spawn =
+        static_cast<unsigned>(std::min<size_t>(cap, n));
     std::atomic<size_t> next{0};
     std::vector<std::exception_ptr> errors(n);
 
-    std::vector<TaskId> ids;
-    ids.reserve(spawn);
-    for (unsigned w = 0; w < spawn; w++) {
-        ids.push_back(submit([&] {
-            // Ticket loop: identical index-claiming discipline to
-            // the historical BatchRunner pool, so outputs keyed by
-            // index land in the same slots at any parallelism.
-            for (;;) {
-                size_t i = next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= n)
-                    return;
-                try {
-                    fn(i);
-                } catch (...) {
-                    errors[i] = std::current_exception();
-                }
+    // Completion latch. The last loop signals while holding
+    // latch_mutex, so this frame cannot return (destroying the latch,
+    // `next` and `errors`) until the worker is done touching them.
+    std::mutex latch_mutex;
+    std::condition_variable latch_cv;
+    unsigned running = spawn;
+
+    auto loop = [&] {
+        // Ticket loop: each index is claimed exactly once, and
+        // outputs keyed by index land in the same slots at any
+        // parallelism.
+        for (;;) {
+            size_t i = next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= n)
+                break;
+            try {
+                fn(i);
+            } catch (...) {
+                errors[i] = std::current_exception();
             }
-        }));
+        }
+        std::lock_guard<std::mutex> l(latch_mutex);
+        if (--running == 0)
+            latch_cv.notify_one();
+    };
+    {
+        std::lock_guard<std::mutex> l(mutex_);
+        for (unsigned w = 0; w < spawn; w++)
+            queue_.emplace_back(loop);
     }
-    for (TaskId id : ids)
-        wait(id);
+    for (unsigned w = 0; w < spawn; w++)
+        workCv_.notify_one();
+    {
+        std::unique_lock<std::mutex> l(latch_mutex);
+        latch_cv.wait(l, [&] { return running == 0; });
+    }
 
     for (size_t i = 0; i < n; i++) {
         if (errors[i])
@@ -387,34 +137,21 @@ TaskRuntime::forEach(size_t n, const std::function<void(size_t)> &fn,
     }
 }
 
-TaskRuntime *&
-sharedSlot()
-{
-    static TaskRuntime *slot = nullptr;
-    return slot;
-}
-
 TaskRuntime &
 TaskRuntime::shared()
 {
-    static std::mutex m;
-    std::lock_guard<std::mutex> l(m);
-    TaskRuntime *&slot = sharedSlot();
-    if (!slot) {
-        // Leaked deliberately: workers may outlive main()'s static
-        // destruction order otherwise.
-        slot = new TaskRuntime(resolveJobs(0));
-    }
-    return *slot;
+    // Leaked deliberately: workers may outlive main()'s static
+    // destruction order otherwise.
+    static TaskRuntime *const rt = [] {
+        TaskRuntime *pool = new TaskRuntime(resolveJobs(0));
+        g_shared.store(pool, std::memory_order_release);
+        return pool;
+    }();
+    return *rt;
 }
 
-TaskRuntime *
-TaskRuntime::sharedIfStarted()
-{
-    return sharedSlot();
-}
-
-TaskRuntime::ForkGuard::ForkGuard() : rt_(TaskRuntime::sharedIfStarted())
+TaskRuntime::ForkGuard::ForkGuard()
+    : rt_(g_shared.load(std::memory_order_acquire))
 {
     if (rt_)
         rt_->execMutex_.lock();     // waits out in-flight tasks

@@ -1,44 +1,25 @@
 /**
  * @file
- * taskrt: the work-stealing task runtime under every pool consumer.
+ * taskrt: the process-wide worker pool under every parallel consumer.
  *
- * Before this layer, each tool built its parallelism out of
- * BatchRunner's fork-join pool: every run() spawned fresh worker
- * threads, carved the index space by atomic ticket, and tore the
- * pool down again — so two concurrent campaigns could not share
- * cores, and a long-running service would pay thread churn per
- * request. taskrt replaces that substrate with a process-wide pool
- * of long-lived workers:
- *
- *  - TaskGraph — pure dependency bookkeeping, no threads: tasks are
- *    nodes, explicit edges gate readiness, complete() retires a node
- *    and reports the dependents it released. The subprocess
- *    scheduler (proc_runner) drives its retry/resume chains through
- *    a TaskGraph directly; TaskRuntime embeds one for its own
- *    submissions.
- *
- *  - TaskRuntime — the worker pool. Each worker owns a bounded
- *    deque (owner pushes and pops at the bottom, thieves steal from
- *    the top — the Chase-Lev discipline, here mutex-guarded) plus an
- *    MPSC submission channel external threads round-robin into.
- *    Tasks with unmet dependencies park in the graph and are
- *    enqueued the moment their last dependency completes.
+ * Every parallel workload in this repository is a grid of independent
+ * cells (workload x mode x seed, each an isolated SsmtCore), so the
+ * only primitive it needs is a capped parallel-for. TaskRuntime is a
+ * fixed-width pool of long-lived workers fed from one FIFO queue:
+ * forEach() queues min(cap, n) ticket-loop closures, each of which
+ * claims indices from a shared atomic counter until the range is
+ * exhausted, then blocks the caller until every closure has finished.
+ * Concurrent forEach() calls (two campaigns in one ssmt_server) share
+ * the same workers instead of oversubscribing the host.
  *
  * Determinism contract: scheduling affects only *completion order*.
- * Every consumer keys its outputs by job index (BatchRunner result
- * slots, campaign cell keys, bench matrix cells), so results,
- * retry seeds and manifest bytes are identical at any worker count,
- * steal order, or submission interleaving. forEach() reproduces
- * BatchRunner's historical semantics exactly: per-index exception
- * capture, lowest-index rethrow after the batch drains, and a
- * serial degenerate path at cap <= 1.
+ * Every consumer keys its outputs by index (BatchRunner result slots,
+ * campaign cell keys, bench matrix cells), so results, retry seeds
+ * and manifest bytes are identical at any worker count or
+ * interleaving.
  *
- * Blocking rules: wait()/forEach() may block only on threads that
- * are not pool workers. forEach() detects being called from a
- * worker and degrades to the serial path instead of deadlocking.
- * Task bodies must not throw out of submit()ed functions — escaped
- * exceptions are warned and swallowed so one bad task can never
- * take a shared worker down (forEach captures per index instead).
+ * Blocking rule: forEach() detects being called from a pool worker
+ * and degrades to the serial path instead of deadlocking.
  */
 
 #ifndef SSMT_SIM_TASKRT_HH
@@ -46,9 +27,8 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdint>
+#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <thread>
@@ -59,86 +39,14 @@ namespace ssmt
 namespace sim
 {
 
-/** A task's handle: slot index in the low 32 bits, a generation
- *  counter in the high 32 so recycled slots can never be confused
- *  with their previous occupant. 0 is never a valid id. */
-using TaskId = uint64_t;
-
-using TaskFn = std::function<void()>;
-
 /**
- * Dependency bookkeeping with no threads attached: nodes plus
- * explicit edges. A node is Waiting until every dependency has
- * completed, then Ready; complete() retires it and returns the
- * dependents that just became Ready (ascending id order, so callers
- * that iterate the list stay deterministic). Retired slots are
- * recycled: queries about a retired (or never-issued) id uniformly
- * report "done", which is exactly the semantics a dependency on an
- * already-finished task needs.
- *
- * Not thread-safe by itself; TaskRuntime serializes access under
- * its own mutex, and single-threaded schedulers (proc_runner) need
- * no lock at all.
- */
-class TaskGraph
-{
-  public:
-    /** Add a node gated on @p deps (done/stale deps are already
-     *  satisfied). @return its id; ready() tells whether it can run
-     *  immediately. */
-    TaskId add(const std::vector<TaskId> &deps = {});
-
-    /** True when @p id has completed (stale and invalid ids count
-     *  as done — see class comment). */
-    bool done(TaskId id) const;
-
-    /** True when @p id exists, has not completed, and every
-     *  dependency has. */
-    bool ready(TaskId id) const;
-
-    /** Retire a Ready node. @return the dependents this released,
-     *  in ascending id order. */
-    std::vector<TaskId> complete(TaskId id);
-
-    /** Live (not yet completed) node count. */
-    size_t pending() const { return live_; }
-
-  private:
-    struct Node
-    {
-        uint32_t gen = 1;
-        uint32_t remaining = 0;     ///< unmet dependencies
-        bool live = false;
-        std::vector<uint32_t> dependents;
-    };
-
-    std::vector<Node> nodes_;
-    std::vector<uint32_t> free_;    ///< recycled slots
-    size_t live_ = 0;
-
-    static uint32_t indexOf(TaskId id)
-    {
-        return static_cast<uint32_t>(id & 0xffffffffu);
-    }
-    static uint32_t genOf(TaskId id)
-    {
-        return static_cast<uint32_t>(id >> 32);
-    }
-    const Node *liveNode(TaskId id) const;
-};
-
-/**
- * The process-wide work-stealing pool (see file header). Construct
- * directly for an isolated pool (tests), or use shared() — the
- * instance every BatchRunner, campaign and bench consumer
- * multiplexes onto.
+ * The worker pool (see file header). Construct directly for an
+ * isolated pool (tests), or use shared() — the instance every
+ * BatchRunner, campaign and bench consumer multiplexes onto.
  */
 class TaskRuntime
 {
   public:
-    /** Hard cap on pool size; requests beyond it are clamped. */
-    static constexpr unsigned kMaxWorkers = 256;
-
     /** @param workers 0 = resolveJobs(0) (SSMT_JOBS, then cores). */
     explicit TaskRuntime(unsigned workers = 0);
     ~TaskRuntime();
@@ -152,46 +60,30 @@ class TaskRuntime
     }
 
     /** Grow the pool to @p want workers (never shrinks; clamped to
-     *  kMaxWorkers). Existing work keeps running throughout. */
+     *  kMaxWorkers). Running work is not disturbed. */
     void ensureWorkers(unsigned want);
-
-    /**
-     * Submit @p fn, gated on @p deps (ids from earlier submits).
-     * Runs as soon as a worker is free and every dependency has
-     * completed. fn must not throw (see file header).
-     */
-    TaskId submit(TaskFn fn, const std::vector<TaskId> &deps = {});
-
-    /** Block until @p id completes. Must not be called from a pool
-     *  worker (a task waiting on the pool it runs in deadlocks). */
-    void wait(TaskId id);
 
     /**
      * Deterministic parallel-for: fn(i) for every i in [0, n), at
      * most @p maxParallel invocations in flight (0 = pool size).
      * Exceptions are captured per index and the lowest-indexed one
-     * rethrown after all indices drain — BatchRunner::forEach's
-     * historical contract, verbatim. Serial (and exception-
-     * transparent) when the cap is 1, n is 1, or the caller is
-     * itself a pool worker.
+     * rethrown after all indices drain. Serial (and exception-
+     * transparent) when the cap is 1, n is 1, or the caller is itself
+     * a pool worker.
      */
     void forEach(size_t n, const std::function<void(size_t)> &fn,
                  unsigned maxParallel = 0);
 
     /** The process-wide pool, started on first use with
-     *  resolveJobs(0) workers. */
+     *  resolveJobs(0) workers and deliberately leaked at exit. */
     static TaskRuntime &shared();
-
-    /** shared() if it has been started, else nullptr — so fork-time
-     *  quiescing never *creates* a pool. */
-    static TaskRuntime *sharedIfStarted();
 
     /**
      * RAII quiesce for fork(): blocks new task execution on the
-     * shared pool (if one is running) and waits for in-flight tasks
-     * to finish, so a child forked under the guard never inherits a
-     * worker mid-task (with locks held). proc_runner holds one for
-     * the duration of an isolated batch.
+     * shared pool (if one has started; never starts one) and waits
+     * for in-flight tasks to finish, so a child forked under the
+     * guard never inherits a worker mid-task (with locks held).
+     * proc_runner holds one for the duration of an isolated batch.
      */
     class ForkGuard
     {
@@ -206,54 +98,21 @@ class TaskRuntime
     };
 
   private:
-    /** One worker: bounded deque + MPSC submission channel. */
-    struct Worker
-    {
-        std::thread thread;
+    /** Hard cap on pool size; requests beyond it are clamped. */
+    static constexpr unsigned kMaxWorkers = 256;
 
-        /** Bounded deque, Chase-Lev discipline under a mutex: the
-         *  owner pushes/pops at the bottom, thieves take the top. */
-        std::mutex dequeMutex;
-        std::vector<TaskId> deque;
-
-        /** MPSC submission channel: any thread appends under the
-         *  mutex; only the owner drains. Unbounded, so it doubles
-         *  as the deque's overflow relief. */
-        std::mutex inboxMutex;
-        std::vector<TaskId> inbox;
-    };
-
-    /** Per-worker deque capacity; overflow falls back to the
-     *  worker's own inbox. */
-    static constexpr size_t kDequeCapacity = 1024;
-
-    // Graph + task bodies, under one mutex (task bodies are
-    // heavyweight simulations; this lock is not contended enough to
-    // matter).
-    mutable std::mutex graphMutex_;
-    TaskGraph graph_;
-    std::vector<TaskFn> fns_;       ///< indexed like graph slots
-    std::condition_variable doneCv_;    ///< completion, for wait()
-
-    // Idle/wake machinery: enqueuers bump version_ then notify.
-    std::mutex idleMutex_;
+    std::mutex mutex_;      ///< guards queue_, threads_, stop_
     std::condition_variable workCv_;
-    std::atomic<uint64_t> version_{0};
+    std::deque<std::function<void()>> queue_;
+    std::vector<std::thread> threads_;
     bool stop_ = false;
+    std::atomic<unsigned> workerCount_{0};
 
-    // Workers execute under a shared lock so ForkGuard can drain
-    // them with one exclusive acquire.
+    /** Workers run each task under a shared lock, so ForkGuard can
+     *  drain them with one exclusive acquire. */
     std::shared_mutex execMutex_;
 
-    std::unique_ptr<Worker> workers_[kMaxWorkers];
-    std::atomic<unsigned> workerCount_{0};
-    std::atomic<unsigned> rr_{0};   ///< round-robin submission cursor
-
-    void workerMain(unsigned self);
-    bool tryGetWork(unsigned self, TaskId *out);
-    void enqueueReady(TaskId id, int preferWorker);
-    void notifyWorkers();
-    void runTask(TaskId id);
+    void workerMain();
 };
 
 } // namespace sim

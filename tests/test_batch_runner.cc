@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "sim/batch_runner.hh"
+#include "sim/jobs.hh"
 #include "sim/sim_runner.hh"
 #include "workloads/workloads.hh"
 
@@ -148,18 +149,18 @@ TEST(BatchRunnerTest, JobsOneRunsSeriallyOnCallingThread)
 TEST(BatchRunnerTest, ResolveJobsPriority)
 {
     // Explicit request wins over everything.
-    EXPECT_EQ(sim::BatchRunner::resolveJobs(3), 3u);
+    EXPECT_EQ(sim::resolveJobs(3), 3u);
 
     // SSMT_JOBS is the fallback for an unspecified count.
     ::setenv("SSMT_JOBS", "5", 1);
-    EXPECT_EQ(sim::BatchRunner::resolveJobs(0), 5u);
-    EXPECT_EQ(sim::BatchRunner::resolveJobs(2), 2u);
+    EXPECT_EQ(sim::resolveJobs(0), 5u);
+    EXPECT_EQ(sim::resolveJobs(2), 2u);
 
     // Nonsense values fall through to the host core count (>= 1).
     ::setenv("SSMT_JOBS", "bogus", 1);
-    EXPECT_GE(sim::BatchRunner::resolveJobs(0), 1u);
+    EXPECT_GE(sim::resolveJobs(0), 1u);
     ::unsetenv("SSMT_JOBS");
-    EXPECT_GE(sim::BatchRunner::resolveJobs(0), 1u);
+    EXPECT_GE(sim::resolveJobs(0), 1u);
 }
 
 TEST(BatchRunnerTest, ExceptionSurfacesWithoutDeadlock)

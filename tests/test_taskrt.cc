@@ -1,19 +1,16 @@
 /**
  * @file
- * Tests for the work-stealing task runtime: TaskGraph dependency
- * bookkeeping (readiness gating, release order, generation-guarded
- * slot recycling) and TaskRuntime scheduling (every index exactly
- * once at any worker count, dependency ordering, the forEach
- * exception contract, and the nested-forEach serial fallback that
- * keeps a worker from deadlocking on its own pool).
+ * Tests for the task runtime's worker pool: every index exactly once
+ * at any worker count and under concurrent callers, the forEach
+ * exception contract, pool growth, the ForkGuard quiesce, and the
+ * nested-forEach serial fallback that keeps a worker from
+ * deadlocking on its own pool.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <mutex>
-#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -24,101 +21,6 @@ namespace
 {
 
 using namespace ssmt;
-
-// ---- TaskGraph: pure bookkeeping, no threads ----
-
-TEST(TaskGraphTest, NodeWithoutDepsIsImmediatelyReady)
-{
-    sim::TaskGraph graph;
-    sim::TaskId a = graph.add();
-    EXPECT_NE(a, 0u);
-    EXPECT_TRUE(graph.ready(a));
-    EXPECT_FALSE(graph.done(a));
-    EXPECT_EQ(graph.pending(), 1u);
-
-    EXPECT_TRUE(graph.complete(a).empty());
-    EXPECT_TRUE(graph.done(a));
-    EXPECT_EQ(graph.pending(), 0u);
-}
-
-TEST(TaskGraphTest, DependenciesGateReadiness)
-{
-    sim::TaskGraph graph;
-    sim::TaskId a = graph.add();
-    sim::TaskId b = graph.add();
-    sim::TaskId c = graph.add({a, b});
-
-    EXPECT_FALSE(graph.ready(c));
-    EXPECT_TRUE(graph.complete(a).empty());   // b still gates c
-    EXPECT_FALSE(graph.ready(c));
-
-    std::vector<sim::TaskId> released = graph.complete(b);
-    ASSERT_EQ(released.size(), 1u);
-    EXPECT_EQ(released[0], c);
-    EXPECT_TRUE(graph.ready(c));
-}
-
-TEST(TaskGraphTest, CompleteReleasesDependentsInAscendingOrder)
-{
-    sim::TaskGraph graph;
-    sim::TaskId root = graph.add();
-    std::vector<sim::TaskId> leaves;
-    for (int i = 0; i < 8; i++)
-        leaves.push_back(graph.add({root}));
-
-    std::vector<sim::TaskId> released = graph.complete(root);
-    ASSERT_EQ(released.size(), leaves.size());
-    for (size_t i = 1; i < released.size(); i++)
-        EXPECT_LT(released[i - 1], released[i]);
-}
-
-TEST(TaskGraphTest, DoneAndStaleDepsAreAlreadySatisfied)
-{
-    sim::TaskGraph graph;
-    sim::TaskId a = graph.add();
-    graph.complete(a);
-
-    // Depending on a completed (or never-issued) id must not block.
-    sim::TaskId b = graph.add({a, 0});
-    EXPECT_TRUE(graph.ready(b));
-}
-
-TEST(TaskGraphTest, RecycledSlotsGetFreshGenerations)
-{
-    sim::TaskGraph graph;
-    sim::TaskId a = graph.add();
-    graph.complete(a);
-
-    // The slot comes back with a bumped generation: the new id is
-    // distinct, and the stale id still reports done.
-    sim::TaskId b = graph.add();
-    EXPECT_NE(a, b);
-    EXPECT_EQ(static_cast<uint32_t>(a), static_cast<uint32_t>(b));
-    EXPECT_TRUE(graph.done(a));
-    EXPECT_FALSE(graph.done(b));
-    graph.complete(b);
-    EXPECT_TRUE(graph.done(b));
-}
-
-TEST(TaskGraphTest, RetryChainMirrorsProcRunnerUsage)
-{
-    // The proc_runner pattern: each retry is a fresh node gated on
-    // its predecessor, completed as the old attempt is abandoned.
-    sim::TaskGraph graph;
-    sim::TaskId attempt = graph.add();
-    for (int retry = 0; retry < 3; retry++) {
-        sim::TaskId next = graph.add({attempt});
-        EXPECT_FALSE(graph.ready(next));
-        graph.complete(attempt);
-        EXPECT_TRUE(graph.ready(next));
-        attempt = next;
-    }
-    EXPECT_EQ(graph.pending(), 1u);
-    graph.complete(attempt);
-    EXPECT_EQ(graph.pending(), 0u);
-}
-
-// ---- TaskRuntime: scheduling ----
 
 TEST(TaskRuntimeTest, ForEachRunsEveryIndexOnceAtAnyWorkerCount)
 {
@@ -132,37 +34,6 @@ TEST(TaskRuntimeTest, ForEachRunsEveryIndexOnceAtAnyWorkerCount)
             EXPECT_EQ(hits[i].load(), 1) << "index " << i
                                          << " workers " << workers;
     }
-}
-
-TEST(TaskRuntimeTest, SubmitHonorsDependencyOrder)
-{
-    sim::TaskRuntime rt(4);
-    std::mutex m;
-    std::vector<int> order;
-    auto record = [&](int v) {
-        std::lock_guard<std::mutex> lock(m);
-        order.push_back(v);
-    };
-
-    // A diamond: 0 before {1, 2}, both before 3.
-    sim::TaskId a = rt.submit([&] { record(0); });
-    sim::TaskId b = rt.submit([&] { record(1); }, {a});
-    sim::TaskId c = rt.submit([&] { record(2); }, {a});
-    sim::TaskId d = rt.submit([&] { record(3); }, {b, c});
-    rt.wait(d);
-
-    ASSERT_EQ(order.size(), 4u);
-    EXPECT_EQ(order.front(), 0);
-    EXPECT_EQ(order.back(), 3);
-}
-
-TEST(TaskRuntimeTest, WaitOnCompletedTaskReturnsImmediately)
-{
-    sim::TaskRuntime rt(2);
-    sim::TaskId a = rt.submit([] {});
-    rt.wait(a);
-    rt.wait(a);     // stale id: already done, must not block
-    rt.wait(0);     // never-issued id: same
 }
 
 TEST(TaskRuntimeTest, ForEachRethrowsLowestIndexedException)
@@ -211,44 +82,62 @@ TEST(TaskRuntimeTest, EnsureWorkersGrowsButNeverShrinks)
     EXPECT_EQ(hits.load(), 64);
 }
 
-TEST(TaskRuntimeTest, ManySmallTasksDrainThroughStealing)
+TEST(TaskRuntimeTest, ConcurrentCallersShareOnePool)
 {
-    // Submit far more tasks than the deque capacity from an external
-    // thread: overflow routes through the inboxes, thieves balance
-    // the rest, and every task runs exactly once.
+    // Two client threads on one 4-wide pool, each capped at 2 — the
+    // shape ssmt_server runs under two concurrent campaigns. Each
+    // call must see every one of its own indices exactly once before
+    // it returns.
     sim::TaskRuntime rt(4);
-    constexpr int kTasks = 5000;
-    std::vector<std::atomic<int>> hits(kTasks);
-    std::vector<sim::TaskId> ids;
-    ids.reserve(kTasks);
-    for (int i = 0; i < kTasks; i++)
-        ids.push_back(rt.submit([&hits, i] { hits[i].fetch_add(1); }));
-    for (sim::TaskId id : ids)
-        rt.wait(id);
-    for (int i = 0; i < kTasks; i++)
-        EXPECT_EQ(hits[i].load(), 1) << "task " << i;
+    constexpr size_t kIndices = 500;
+    std::vector<std::atomic<int>> hits[2] = {
+        std::vector<std::atomic<int>>(kIndices),
+        std::vector<std::atomic<int>>(kIndices)};
+    std::vector<int> miscounted[2];
+    auto client = [&](int c) {
+        for (int round = 0; round < 20; round++) {
+            for (std::atomic<int> &h : hits[c])
+                h.store(0);
+            rt.forEach(
+                kIndices, [&](size_t i) { hits[c][i].fetch_add(1); },
+                2);
+            for (size_t i = 0; i < kIndices; i++)
+                if (hits[c][i].load() != 1)
+                    miscounted[c].push_back(static_cast<int>(i));
+        }
+    };
+    std::thread a(client, 0);
+    std::thread b(client, 1);
+    a.join();
+    b.join();
+    EXPECT_TRUE(miscounted[0].empty()) << miscounted[0].size();
+    EXPECT_TRUE(miscounted[1].empty()) << miscounted[1].size();
 }
 
 TEST(TaskRuntimeTest, ForkGuardQuiescesInFlightTasks)
 {
     // Start the shared pool, then take a ForkGuard while tasks are
     // in flight: the guard must block until they finish, and tasks
-    // submitted after it must still run once it releases.
+    // queued after it must still run once it releases.
     sim::TaskRuntime &rt = sim::TaskRuntime::shared();
+    rt.ensureWorkers(2);
     std::atomic<int> done{0};
-    std::vector<sim::TaskId> ids;
-    for (int i = 0; i < 16; i++)
-        ids.push_back(rt.submit([&] {
+    std::atomic<int> in_flight{0};
+    std::thread caller([&] {
+        rt.forEach(16, [&](size_t) {
+            in_flight.fetch_add(1);
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
             done.fetch_add(1);
-        }));
+            in_flight.fetch_sub(1);
+        }, 2);
+    });
     {
         sim::TaskRuntime::ForkGuard guard;
         // Under the guard no worker is mid-task; anything observable
         // as started has fully finished its body.
+        EXPECT_EQ(in_flight.load(), 0);
     }
-    for (sim::TaskId id : ids)
-        rt.wait(id);
+    caller.join();
     EXPECT_EQ(done.load(), 16);
 }
 

@@ -245,18 +245,6 @@ resolveWorkloads(const std::vector<std::string> &names,
     return out;
 }
 
-LineSocket &
-LineSocket::operator=(LineSocket &&other) noexcept
-{
-    if (this != &other) {
-        close();
-        fd_ = other.fd_;
-        buffer_ = std::move(other.buffer_);
-        other.fd_ = -1;
-    }
-    return *this;
-}
-
 bool
 LineSocket::connectTo(const std::string &path)
 {
@@ -306,17 +294,24 @@ LineSocket::sendLine(const std::string &line)
 }
 
 bool
-LineSocket::recvLine(std::string *out)
+LineSocket::recvLine(std::string *out, size_t maxBytes)
 {
     if (fd_ < 0)
         return false;
+    size_t scanned = 0;     // bytes already searched for '\n'
     for (;;) {
-        size_t nl = buffer_.find('\n');
+        size_t nl = buffer_.find('\n', scanned);
+        size_t length = nl == std::string::npos ? buffer_.size() : nl;
+        if (maxBytes > 0 && length > maxBytes) {
+            frameTooLong_ = true;
+            return false;
+        }
         if (nl != std::string::npos) {
             out->assign(buffer_, 0, nl);
             buffer_.erase(0, nl + 1);
             return true;
         }
+        scanned = buffer_.size();
         char buf[65536];
         ssize_t got = ::recv(fd_, buf, sizeof(buf), 0);
         if (got > 0) {
@@ -337,6 +332,7 @@ LineSocket::close()
         fd_ = -1;
     }
     buffer_.clear();
+    frameTooLong_ = false;
 }
 
 } // namespace cli

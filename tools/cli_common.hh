@@ -166,12 +166,6 @@ class LineSocket
     explicit LineSocket(int fd) : fd_(fd) {}
     ~LineSocket() { close(); }
 
-    LineSocket(LineSocket &&other) noexcept
-        : fd_(other.fd_), buffer_(std::move(other.buffer_))
-    {
-        other.fd_ = -1;
-    }
-    LineSocket &operator=(LineSocket &&other) noexcept;
     LineSocket(const LineSocket &) = delete;
     LineSocket &operator=(const LineSocket &) = delete;
 
@@ -186,14 +180,21 @@ class LineSocket
     bool sendLine(const std::string &line);
 
     /** Receive the next line (terminator stripped) into @p out.
-     *  Blocks. @return false on EOF/error with no complete line. */
-    bool recvLine(std::string *out);
+     *  Blocks. @p maxBytes bounds the line (0 = unbounded): past it
+     *  the call stops reading, sets frameTooLong() and returns false,
+     *  so a peer cannot grow the buffer without limit.
+     *  @return false on EOF/error with no complete line. */
+    bool recvLine(std::string *out, size_t maxBytes = 0);
+
+    /** True once recvLine() has refused an over-limit line. */
+    bool frameTooLong() const { return frameTooLong_; }
 
     void close();
 
   private:
     int fd_ = -1;
     std::string buffer_;    ///< bytes past the last returned line
+    bool frameTooLong_ = false;
 };
 
 } // namespace cli

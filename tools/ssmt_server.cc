@@ -4,12 +4,12 @@
  *
  * A long-running process that accepts concurrent campaign / batch
  * requests over a Unix-domain socket and multiplexes every cell onto
- * the process-wide work-stealing sim::TaskRuntime pool — so N
- * clients share one set of workers instead of oversubscribing the
- * host N times. The wire protocol (ssmt-server-v1, DESIGN.md §9) is
- * line-delimited JSON: one request object per line in, a stream of
- * event objects per line out, built entirely on existing canonical
- * codecs — cell payloads are ssmt-job-result-v1 documents (with
+ * the process-wide sim::TaskRuntime pool — so N clients share one
+ * set of workers instead of oversubscribing the host N times. The
+ * wire protocol (ssmt-server-v1, DESIGN.md §9) is line-delimited
+ * JSON: one request object per line in, a stream of event objects
+ * per line out, built entirely on existing canonical codecs — cell
+ * payloads are ssmt-job-result-v1 documents (with
  * their embedded ssmt-series-v1 metrics), campaign identities are
  * canonical CampaignSpec JSON, and the terminal campaign artifact is
  * the byte-exact ssmt-campaign-v1 manifest.
@@ -31,6 +31,12 @@
  * campaign keeps running to durable completion (store + journal),
  * and the client can reconnect and resubmit to stream the rest as
  * cache hits.
+ *
+ * Each connection gets a handler thread; the accept loop joins
+ * finished handlers as new connections arrive, so a long-lived
+ * daemon holds threads only for live clients. A request line longer
+ * than kMaxRequestBytes is answered with an error event naming the
+ * limit, and that connection is closed.
  */
 
 #include <atomic>
@@ -38,6 +44,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -70,6 +77,12 @@ using namespace ssmt;
 
 const char kServerSchema[] = "ssmt-server-v1";
 
+/** Longest request line the server reads. The largest request an
+ *  in-tree client sends, the 60-cell differential batch of
+ *  `ssmt_verify_golden --server --differential` over all 20
+ *  workloads, is 5529 bytes; 1 MiB leaves ~190x headroom. */
+constexpr size_t kMaxRequestBytes = 1u << 20;
+
 const char kUsage[] =
     "usage: ssmt_server --socket PATH [--root DIR] [--jobs N|auto]\n"
     "\n"
@@ -94,26 +107,6 @@ onStopSignal(int)
     // exit; in-flight connections drain normally.
     if (g_listen_fd >= 0)
         ::close(g_listen_fd);
-}
-
-uint64_t
-fnv1a(const std::string &text)
-{
-    uint64_t hash = 0xcbf29ce484222325ull;
-    for (unsigned char c : text) {
-        hash ^= c;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
-std::string
-hex16(uint64_t value)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(value));
-    return buf;
 }
 
 /** Server-wide shared state: config, counters, per-campaign-dir
@@ -214,11 +207,9 @@ handleCampaign(ServerState &state, cli::LineSocket &sock,
         !stream || stream->kind != sim::JsonValue::Kind::Bool ||
         stream->boolean;
 
-    // The canonical spec text is the campaign identity: re-serialize
-    // so two spellings of the same spec share one directory.
-    const std::string canonical = sim::specJson(spec);
-    const std::string dir =
-        state.root + "/c-" + hex16(fnv1a(canonical));
+    // The canonical spec text is the campaign identity: two
+    // spellings of the same spec share one directory.
+    const std::string dir = state.root + "/c-" + sim::specHash(spec);
 
     state.campaignsTotal.fetch_add(1, std::memory_order_relaxed);
     state.campaignsActive.fetch_add(1, std::memory_order_relaxed);
@@ -428,7 +419,7 @@ serveConnection(ServerState &state, int fd)
 {
     cli::LineSocket sock(fd);
     std::string line;
-    while (sock.recvLine(&line)) {
+    while (sock.recvLine(&line, kMaxRequestBytes)) {
         if (line.empty())
             continue;
         sim::JsonValue request;
@@ -466,6 +457,33 @@ serveConnection(ServerState &state, int fd)
         } else {
             if (!sendError(sock, "unknown cmd '" + cmd + "'"))
                 break;
+        }
+    }
+    if (sock.frameTooLong()) {
+        sendError(sock, "request line exceeds " +
+                            std::to_string(kMaxRequestBytes) +
+                            " bytes; closing connection");
+    }
+}
+
+/** One connection's handler thread. `finished` flips as the handler
+ *  returns, so the accept loop can join it. */
+struct Connection
+{
+    std::thread thread;
+    std::atomic<bool> finished{false};
+};
+
+/** Join and drop every handler that has returned. */
+void
+reapFinished(std::list<Connection> &connections)
+{
+    for (auto it = connections.begin(); it != connections.end();) {
+        if (it->finished.load(std::memory_order_acquire)) {
+            it->thread.join();
+            it = connections.erase(it);
+        } else {
+            ++it;
         }
     }
 }
@@ -545,7 +563,7 @@ main(int argc, char **argv)
                  socket_path.c_str(), state.root.c_str(),
                  sim::TaskRuntime::shared().workers());
 
-    std::vector<std::thread> connections;
+    std::list<Connection> connections;
     while (!g_stop.load(std::memory_order_relaxed)) {
         int fd = ::accept(listen_fd, nullptr, nullptr);
         if (fd < 0) {
@@ -554,12 +572,17 @@ main(int argc, char **argv)
                 break;
             continue;
         }
-        connections.emplace_back(
-            [&state, fd] { serveConnection(state, fd); });
+        reapFinished(connections);
+        Connection &conn = connections.emplace_back();
+        conn.thread = std::thread([&state, fd, &conn] {
+            serveConnection(state, fd);
+            conn.finished.store(true, std::memory_order_release);
+        });
     }
 
-    for (std::thread &t : connections)
-        t.join();
+    // Live connections drain before exit.
+    for (Connection &conn : connections)
+        conn.thread.join();
     ::unlink(socket_path.c_str());
     std::fprintf(stderr, "[ssmt_server] stopped (%llu campaigns, "
                          "%llu cells served, %llu cache hits)\n",

@@ -3,10 +3,11 @@
 # the same 4-cell campaign from two concurrent thin clients, and
 # require both streamed manifests byte-identical to an in-process
 # runCampaign of the same spec; between the two clients, a hostile
-# deeply nested request line must be rejected without taking the
-# daemon down. Then re-submit (all cache hits must
-# still reproduce the bytes) and run ssmt_verify_golden --server so a
-# remote batch decodes to the same counters as local execution.
+# deeply nested request line and a line past the request-size limit
+# must be rejected without taking the daemon down. Then re-submit
+# (all cache hits must still reproduce the bytes) and run
+# ssmt_verify_golden --server so a remote batch decodes to the same
+# counters as local execution.
 #
 # Usage: tier2_server_smoke.sh <bindir>   (dir holding the ssmt_*
 # binaries; runs in $PWD, which ctest sets to the build dir).
@@ -66,6 +67,28 @@ if ! grep -q "nesting deeper than" "$WORK/hostile.log" ||
     exit 1
 fi
 echo "[smoke] hostile frame rejected, daemon still serving"
+
+# An oversized frame: one 2 MiB line, past the server's 1 MiB request
+# limit, must come back as an error event naming the limit (the server
+# then closes that connection) and leave the daemon serving.
+echo "[smoke] oversized frame: 2 MiB line"
+python3 - "$SOCK" >"$WORK/oversize.log" 2>&1 <<'PY' || true
+import socket, sys
+s = socket.socket(socket.AF_UNIX)
+s.connect(sys.argv[1])
+try:
+    s.sendall(b"x" * (2 << 20) + b"\n")
+except OSError:
+    pass  # the server stops reading at its limit and closes
+print(s.makefile().readline().strip())
+PY
+if ! grep -q '"error".*exceeds 1048576 bytes' "$WORK/oversize.log" ||
+        ! kill -0 "$SERVER_PID" 2>/dev/null; then
+    echo "[smoke] FAIL: oversized frame was not refused cleanly" >&2
+    cat "$WORK/oversize.log" "$WORK/server.log" >&2
+    exit 1
+fi
+echo "[smoke] oversized frame refused, daemon still serving"
 
 # shellcheck disable=SC2086
 "$BIN/ssmt_campaign" run --server "$SOCK" --dir "$WORK/client-b" \
