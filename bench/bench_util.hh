@@ -124,11 +124,9 @@ suiteFromNames(const std::vector<std::string> &names)
 {
     std::vector<workloads::WorkloadInfo> out;
     for (const std::string &name : names)
-        for (const auto &info : workloads::allWorkloads())
-            if (info.name == name) {
-                out.push_back(info);
-                break;
-            }
+        if (const workloads::WorkloadInfo *info =
+                workloads::findWorkload(name))
+            out.push_back(*info);
     return out;
 }
 

@@ -157,7 +157,7 @@ main(int argc, char **argv)
                     hints_file.c_str());
     }
 
-    sim::Stats stats = sim::runProgram(prog, cfg);
+    sim::Stats stats = sim::runProgramChecked(prog, cfg, workload);
     std::printf("%s on %s: IPC %.4f over %llu insts / %llu cycles, "
                 "used mispredict %.4f\n",
                 workload.c_str(), sim::modeName(cfg.mode),

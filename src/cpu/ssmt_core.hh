@@ -141,8 +141,8 @@ class SsmtCore : public sim::Snapshotter
     /**
      * Occupancy-bound self-check over the core's structures (PRB,
      * Prediction Cache, MicroRAM, Path Cache, window,
-     * microcontexts). Valid at any cycle; sim::runProgram invokes it
-     * at end-of-run alongside StatsChecker.
+     * microcontexts). Valid at any cycle; sim::runProgramChecked
+     * invokes it at end-of-run alongside StatsChecker.
      */
     std::vector<sim::InvariantViolation>
     checkStructuralInvariants() const;

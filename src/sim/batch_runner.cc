@@ -9,7 +9,6 @@
 #include "sim/jobs.hh"
 #include "sim/logging.hh"
 #include "sim/proc_runner.hh"
-#include "sim/sim_runner.hh"
 #include "sim/taskrt.hh"
 
 namespace ssmt
@@ -114,61 +113,6 @@ BatchRunner::failureSummary(const std::vector<BatchJob> &batch,
     }
     return out;
 }
-
-namespace detail
-{
-
-bool
-runAttempt(const BatchJob &job, const BatchPolicy &policy,
-           unsigned attempt, std::string &checkpoint,
-           BatchResult &result)
-{
-    MachineConfig config = job.config;
-    bool resuming = policy.resumeOnWatchdog && !checkpoint.empty();
-    if (!resuming && policy.reseedFaultsOnRetry &&
-        config.faults.enabled()) {
-        config.faults.seed =
-            BatchRunner::retrySeed(job.config.faults.seed, attempt);
-    }
-    uint64_t budget = policy.cycleBudget;
-    uint64_t snapshot_at = 0;
-    if (policy.resumeOnWatchdog && policy.cycleBudget > 0) {
-        // Each slice extends the absolute budget; checkpoint
-        // exactly at the boundary so a tripped watchdog
-        // leaves a resumable snapshot in the artifacts.
-        budget = policy.cycleBudget * (attempt + 1);
-        snapshot_at = std::min(config.maxCycles, budget);
-    }
-    result.attempts = attempt + 1;
-    try {
-        result.stats = runProgramChecked(
-            job.program, config, job.name, budget, &result.faults,
-            &result.artifacts, snapshot_at,
-            resuming ? &checkpoint : nullptr);
-        result.error.clear();
-        result.errorCode = ErrorCode::None;
-        return true;
-    } catch (const SimError &err) {
-        result.error = err.what();
-        result.errorCode = err.code();
-        if (policy.resumeOnWatchdog &&
-            err.code() == ErrorCode::WatchdogExpired &&
-            !result.artifacts.snapshot.empty()) {
-            checkpoint = std::move(result.artifacts.snapshot);
-        }
-        return !err.recoverable();
-    } catch (const std::exception &err) {
-        result.error = err.what();
-        result.errorCode = ErrorCode::Internal;
-        return true;
-    } catch (...) {
-        result.error = "unknown exception";
-        result.errorCode = ErrorCode::Internal;
-        return true;
-    }
-}
-
-} // namespace detail
 
 std::vector<BatchResult>
 BatchRunner::run(const std::vector<BatchJob> &batch,

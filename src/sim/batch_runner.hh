@@ -75,6 +75,19 @@ struct BatchJob
     MachineConfig config;
     /** Injected child failure (isolate mode only; see CrashKind). */
     CrashKind crash = CrashKind::None;
+    /** Capture an ssmt-snapshot-v1 checkpoint into
+     *  BatchResult::artifacts after this cycle completes (0 = never).
+     *  A run that halts first leaves the snapshot empty. The
+     *  snapshot-at-N + resume run is byte-identical, in golden stats
+     *  and metrics series, to the straight-through run. Superseded
+     *  by BatchPolicy::resumeOnWatchdog, which checkpoints at each
+     *  slice boundary. */
+    uint64_t snapshotAtCycle = 0;
+    /** ssmt-snapshot-v1 document to restore before running ("" =
+     *  cold start). It must match the program and the structural
+     *  config, but may use a different mechanism mode (warmup
+     *  fan-out) or larger run budgets. */
+    std::string resumeFrom = {};
 };
 
 /** The outcome of one BatchJob, in submission order. */
@@ -92,8 +105,9 @@ struct BatchResult
     /** What the job's fault plan did, if one was configured. */
     FaultStats faults;
     /** Observability captures (config.sampleInterval /
-     *  config.traceCapacity); empty when those knobs are off. Like
-     *  Stats, bit-identical across worker counts. */
+     *  config.traceCapacity) and the checkpoint asked for by
+     *  BatchJob::snapshotAtCycle; empty when those knobs are off.
+     *  Like Stats, bit-identical across worker counts. */
     RunArtifacts artifacts;
     /** SSMT_WARN sites this job fired, with per-site totals
      *  including the rate-limited tail. Exact in isolate mode (the
@@ -110,15 +124,14 @@ struct BatchPolicy
 {
     /** Extra attempts after a *recoverable* failure (SimError with
      *  recoverable() true). Non-recoverable failures — bad configs,
-     *  invariant violations — never retry. */
+     *  invariant violations — never retry. A retry re-mixes the
+     *  job's fault seed (retrySeed), so a fault-induced hang gets a
+     *  different fault schedule the second time around; a run
+     *  restored from a snapshot keeps the seed the snapshot pins. */
     unsigned maxRetries = 0;
     /** Per-job cycle watchdog; 0 disables it. A tripped watchdog is
      *  a recoverable failure. */
     uint64_t cycleBudget = 0;
-    /** Deterministically re-mix the job's fault seed on each retry
-     *  (so a fault-induced hang gets a genuinely different fault
-     *  schedule the second time around). */
-    bool reseedFaultsOnRetry = true;
     /**
      * Resume instead of restart after a tripped watchdog: each
      * attempt checkpoints the machine (ssmt-snapshot-v1) right at
@@ -146,9 +159,10 @@ struct BatchPolicy
      * concurrent children instead of threads.
      */
     bool isolate = false;
-    /** Per-attempt wall-clock deadline for an isolated child; the
-     *  parent SIGKILLs past-due children (JobKilled). 0 = none. */
-    double wallDeadlineSeconds = 0.0;
+    /** Per-attempt wall-clock deadline for an isolated child, in
+     *  ms; the parent SIGKILLs past-due children (JobKilled).
+     *  0 = none. */
+    uint64_t wallDeadlineMs = 0;
     /** RLIMIT_AS cap for an isolated child, in MiB; 0 = none. */
     uint64_t memLimitMb = 0;
     /** RLIMIT_CPU cap for an isolated child, in seconds; the kernel
@@ -186,32 +200,6 @@ class BatchRunner
      */
     void forEach(size_t n, const std::function<void(size_t)> &fn) const;
 
-    /**
-     * Run a batch of simulation jobs; result i corresponds to
-     * jobs[i]. Simulated Stats are byte-identical to running the
-     * same jobs serially in order; only hostSeconds varies between
-     * runs.
-     *
-     * Fault-tolerant: a failing job (thrown SimError or any other
-     * exception) becomes a BatchResult with `error` set — it never
-     * kills the batch, and every other job still completes.
-     * Recoverable failures are retried per @p policy with a
-     * deterministically re-mixed fault seed. Failed jobs are
-     * summarized on stderr (rate-limited); use failureSummary() for
-     * a report-ready digest.
-     */
-    std::vector<BatchResult> run(const std::vector<BatchJob> &batch,
-                                 const BatchPolicy &policy) const
-    {
-        return run(batch, policy, nullptr);
-    }
-
-    std::vector<BatchResult>
-    run(const std::vector<BatchJob> &batch) const
-    {
-        return run(batch, BatchPolicy{});
-    }
-
     /** Per-result completion hook: called once per *finished* job
      *  (never for jobs skipped by policy.cancel), in completion
      *  order, from whichever worker finished the job — synchronize
@@ -220,10 +208,25 @@ class BatchRunner
      *  per-cell, not per-batch. */
     using ResultHook = std::function<void(size_t, const BatchResult &)>;
 
-    /** run() with a completion hook (see ResultHook). */
+    /**
+     * Run a batch of simulation jobs; result i corresponds to
+     * jobs[i]. Simulated Stats are byte-identical to running the
+     * same jobs serially in order; only hostSeconds varies between
+     * runs. This is the one way to run a cell under run control
+     * (budgets, retries, checkpoints, resume, isolation).
+     *
+     * Fault-tolerant: a failing job (thrown SimError or any other
+     * exception) becomes a BatchResult with `error` set — it never
+     * kills the batch, and every other job still completes.
+     * Recoverable failures are retried per @p policy with a
+     * deterministically re-mixed fault seed. Failed jobs are
+     * summarized on stderr (rate-limited); use failureSummary() for
+     * a report-ready digest. @p onResult, when set, sees each
+     * finished job (see ResultHook).
+     */
     std::vector<BatchResult> run(const std::vector<BatchJob> &batch,
-                                 const BatchPolicy &policy,
-                                 const ResultHook &onResult) const;
+                                 const BatchPolicy &policy = {},
+                                 const ResultHook &onResult = {}) const;
 
     /** The fault seed used for attempt @p attempt of a job whose
      *  plan was seeded with @p seed (attempt 0 returns @p seed).
@@ -245,14 +248,16 @@ namespace detail
 /**
  * One simulation attempt of @p job — the single code path both the
  * in-process retry loop and an isolated child execute, so the two
- * modes produce byte-identical BatchResults for clean jobs.
+ * modes produce byte-identical BatchResults for clean jobs. The only
+ * reader of BatchJob::snapshotAtCycle and BatchJob::resumeFrom;
+ * defined in sim_runner.cc, on the loop runProgramChecked uses.
  *
  * @param attempt     0-based attempt number (drives retry reseeding
  *                    and the resumeOnWatchdog budget extension)
  * @param checkpoint  in: resume snapshot harvested from the previous
- *                    attempt ("" = cold start); out: the snapshot a
- *                    watchdog-expired attempt left behind (moved out
- *                    of result.artifacts)
+ *                    attempt ("" = start from job.resumeFrom); out:
+ *                    the snapshot a watchdog-expired attempt left
+ *                    behind (moved out of result.artifacts)
  * @return true when the retry loop must stop: success, or a failure
  *         no retry can change.
  */

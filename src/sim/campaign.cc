@@ -81,14 +81,15 @@ writeSpecFields(SnapshotWriter &w, const CampaignSpec &spec)
     w.u64("startCycle", spec.faults.startCycle);
     w.u64("period", spec.faults.period);
     w.endObject();
-    w.u64("maxRetries", spec.maxRetries);
-    w.u64("cycleBudget", spec.cycleBudget);
-    w.boolean("resumeOnWatchdog", spec.resumeOnWatchdog);
-    w.boolean("isolate", spec.isolate);
-    w.u64("wallDeadlineMs", spec.wallDeadlineMs);
-    w.u64("memLimitMb", spec.memLimitMb);
-    w.u64("cpuLimitSeconds", spec.cpuLimitSeconds);
-    w.u64("backoffMs", spec.backoffMs);
+    const BatchPolicy &policy = spec.policy;
+    w.u64("maxRetries", policy.maxRetries);
+    w.u64("cycleBudget", policy.cycleBudget);
+    w.boolean("resumeOnWatchdog", policy.resumeOnWatchdog);
+    w.boolean("isolate", policy.isolate);
+    w.u64("wallDeadlineMs", policy.wallDeadlineMs);
+    w.u64("memLimitMb", policy.memLimitMb);
+    w.u64("cpuLimitSeconds", policy.cpuLimitSeconds);
+    w.u64("backoffMs", policy.backoffMs);
     w.beginArray("crashes");
     for (const auto &crash : spec.crashes) {
         w.beginObject();
@@ -162,14 +163,15 @@ parseSpec(const std::string &text)
     spec.faults.startCycle = r.u64("startCycle");
     spec.faults.period = r.u64("period");
     r.leave();
-    spec.maxRetries = static_cast<unsigned>(r.u64("maxRetries"));
-    spec.cycleBudget = r.u64("cycleBudget");
-    spec.resumeOnWatchdog = r.boolean("resumeOnWatchdog");
-    spec.isolate = r.boolean("isolate");
-    spec.wallDeadlineMs = r.u64("wallDeadlineMs");
-    spec.memLimitMb = r.u64("memLimitMb");
-    spec.cpuLimitSeconds = r.u64("cpuLimitSeconds");
-    spec.backoffMs = static_cast<unsigned>(r.u64("backoffMs"));
+    BatchPolicy &policy = spec.policy;
+    policy.maxRetries = static_cast<unsigned>(r.u64("maxRetries"));
+    policy.cycleBudget = r.u64("cycleBudget");
+    policy.resumeOnWatchdog = r.boolean("resumeOnWatchdog");
+    policy.isolate = r.boolean("isolate");
+    policy.wallDeadlineMs = r.u64("wallDeadlineMs");
+    policy.memLimitMb = r.u64("memLimitMb");
+    policy.cpuLimitSeconds = r.u64("cpuLimitSeconds");
+    policy.backoffMs = static_cast<unsigned>(r.u64("backoffMs"));
     spec.crashes.clear();
     n = r.enterArray("crashes");
     for (size_t i = 0; i < n; i++) {
@@ -221,24 +223,6 @@ cellConfig(const CampaignSpec &spec, const CampaignCell &cell)
     if (cell.seed != 0)
         config.faults.seed = cell.seed;
     return config;
-}
-
-BatchPolicy
-campaignPolicy(const CampaignSpec &spec,
-               const std::atomic<bool> *cancel)
-{
-    BatchPolicy policy;
-    policy.maxRetries = spec.maxRetries;
-    policy.cycleBudget = spec.cycleBudget;
-    policy.resumeOnWatchdog = spec.resumeOnWatchdog;
-    policy.isolate = spec.isolate;
-    policy.wallDeadlineSeconds =
-        static_cast<double>(spec.wallDeadlineMs) / 1000.0;
-    policy.memLimitMb = spec.memLimitMb;
-    policy.cpuLimitSeconds = spec.cpuLimitSeconds;
-    policy.backoffMs = spec.backoffMs;
-    policy.cancel = cancel;
-    return policy;
 }
 
 // ---------------------------------------------------------------------
@@ -559,10 +543,7 @@ runCampaign(const CampaignSpec &spec, const std::string &dir,
                        "and one seed");
     }
     for (const std::string &workload : spec.workloads) {
-        bool known = false;
-        for (const auto &info : workloads::allWorkloads())
-            known = known || info.name == workload;
-        if (!known) {
+        if (!workloads::findWorkload(workload)) {
             throw SimError(ErrorCode::UnknownWorkload, "campaign",
                            "unknown workload '" + workload + "'");
         }
@@ -673,7 +654,8 @@ runCampaign(const CampaignSpec &spec, const std::string &dir,
         cell_of.push_back(i);
     }
 
-    BatchPolicy policy = campaignPolicy(spec, opts.cancel);
+    BatchPolicy policy = spec.policy;
+    policy.cancel = opts.cancel;
     std::mutex hook_mutex;   // in-process workers are concurrent
     std::vector<BatchResult> ran = runner.run(
         batch, policy, [&](size_t b, const BatchResult &result) {

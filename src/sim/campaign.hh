@@ -73,17 +73,11 @@ struct CampaignSpec
      *  overrides plan.seed. site None = no injection. */
     FaultPlan faults;
 
-    // ---- Failure policy (mirrors BatchPolicy) ----
-    unsigned maxRetries = 0;
-    uint64_t cycleBudget = 0;
-    bool resumeOnWatchdog = false;
-    bool isolate = false;
-    /** Wall deadline per isolated attempt, in ms (canonical specs
-     *  are integers-only; BatchPolicy's seconds are derived). */
-    uint64_t wallDeadlineMs = 0;
-    uint64_t memLimitMb = 0;
-    uint64_t cpuLimitSeconds = 0;
-    unsigned backoffMs = 0;
+    /** Failure handling for every cell: retries, watchdog,
+     *  isolation, deadlines, rlimits, backoff. Part of the identity;
+     *  policy.cancel is not, and runCampaign replaces it with
+     *  CampaignOptions::cancel. */
+    BatchPolicy policy;
 
     /** Crash-injection test hook: cell name -> deliberate child
      *  failure (isolate mode; see CrashKind). Part of the spec so a
@@ -120,10 +114,6 @@ std::vector<CampaignCell> campaignCells(const CampaignSpec &spec);
 /** The MachineConfig cell @p cell runs under. */
 MachineConfig cellConfig(const CampaignSpec &spec,
                          const CampaignCell &cell);
-
-/** The BatchPolicy the spec's failure knobs translate to. */
-BatchPolicy campaignPolicy(const CampaignSpec &spec,
-                           const std::atomic<bool> *cancel);
 
 /**
  * Content-addressed store of finished cell results: one atomic file

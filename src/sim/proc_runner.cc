@@ -278,13 +278,10 @@ runBatchIsolated(const std::vector<BatchJob> &batch,
         slot.pid = pid;
         slot.fd = fds[0];
         slot.job = i;
-        if (policy.wallDeadlineSeconds > 0.0) {
+        if (policy.wallDeadlineMs > 0) {
             slot.hasDeadline = true;
-            slot.deadline =
-                Clock::now() +
-                std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(
-                        policy.wallDeadlineSeconds));
+            slot.deadline = Clock::now() + std::chrono::milliseconds(
+                                               policy.wallDeadlineMs);
         }
         jobs[i].running = true;
         slots.push_back(std::move(slot));

@@ -1,7 +1,9 @@
 /**
  * @file
- * Convenience drivers: run a program on a configured machine and
- * compare modes the way the paper's figures do.
+ * Run one program on a configured machine, and compare modes the way
+ * the paper's figures do. sim_runner.cc also holds
+ * detail::runAttempt, BatchRunner's per-attempt step, so the plain
+ * call and every batch share one simulation loop.
  */
 
 #ifndef SSMT_SIM_SIM_RUNNER_HH
@@ -12,7 +14,6 @@
 
 #include "cpu/trace.hh"
 #include "isa/program.hh"
-#include "sim/faultinject.hh"
 #include "sim/machine_config.hh"
 #include "sim/metrics.hh"
 #include "sim/stats.hh"
@@ -32,55 +33,32 @@ struct RunArtifacts
      *  oldest first; feed to cpu::chromeTraceJson() for Perfetto. */
     std::vector<cpu::TraceRecord> trace;
     /** ssmt-snapshot-v1 document captured at @ref snapshotCycle when
-     *  the run was asked to checkpoint (empty otherwise). Captured
-     *  even when the run later trips the watchdog, so a resumable
-     *  batch can continue from it. */
+     *  the job asked for a checkpoint (BatchJob::snapshotAtCycle, or
+     *  BatchPolicy::resumeOnWatchdog's slice boundary); empty
+     *  otherwise. Captured even when the run later trips the
+     *  watchdog, so a resumable batch can continue from it. */
     std::string snapshot;
     uint64_t snapshotCycle = 0;
 };
 
-/** Run @p prog to completion under @p config and return the stats.
- *  Panics on an end-of-run invariant violation (a simulator bug must
- *  never flow into a results table); throws SimError(ConfigInvalid)
- *  on an unsatisfiable configuration. */
-Stats runProgram(const isa::Program &prog, const MachineConfig &config);
-
 /**
- * The throwing flavor of runProgram for batch/campaign drivers:
- * every failure mode becomes a SimError the caller can record or
- * retry instead of dying —
+ * Run @p prog to completion under @p config and return the stats.
+ * Every failure is a SimError the caller can record instead of
+ * dying:
  *  - ConfigInvalid (non-recoverable) from MachineConfig::validate(),
  *  - InvariantViolation (non-recoverable) when the end-of-run
- *    StatsChecker or structural self-check trips,
- *  - WatchdogExpired (recoverable) when @p cycle_budget > 0 and the
- *    run neither halted nor reached a configured stop within it.
+ *    StatsChecker or structural self-check trips; a simulator bug
+ *    must never flow into a results table.
  *
- * @param label       run name used in error context strings
- * @param cycle_budget per-job watchdog; 0 = no watchdog
- * @param fault_stats  optional out-param: what the fault plan did
- * @param artifacts    optional out-param: time-series, trace and
- *                     (when requested) the machine snapshot; reset
- *                     at entry
- * @param snapshot_at_cycle capture an ssmt-snapshot-v1 checkpoint
- *                     into @p artifacts after this cycle completes
- *                     (0 = never; requires @p artifacts). The
- *                     snapshot-at-N + resume run is byte-identical,
- *                     in golden stats and metrics series, to the
- *                     straight-through run.
- * @param resume_from  optional ssmt-snapshot-v1 document to restore
- *                     before running (nullptr/empty = fresh start);
- *                     must match the program and the structural
- *                     config, but may use a different mechanism mode
- *                     (warmup fan-out) or larger run budgets
+ * @p label names the run in error context strings. Run control —
+ * cycle budgets, retries, checkpoints, resume, fault and artifact
+ * capture — lives in BatchJob + BatchPolicy and runs through
+ * BatchRunner::run (sim/batch_runner.hh); this call copies nothing
+ * and is what a host-speed benchmark should time.
  */
 Stats runProgramChecked(const isa::Program &prog,
                         const MachineConfig &config,
-                        const std::string &label,
-                        uint64_t cycle_budget = 0,
-                        FaultStats *fault_stats = nullptr,
-                        RunArtifacts *artifacts = nullptr,
-                        uint64_t snapshot_at_cycle = 0,
-                        const std::string *resume_from = nullptr);
+                        const std::string &label);
 
 /** IPC speed-up of @p test over @p baseline, as plotted in the
  *  paper's Figures 6 and 7 (1.0 = no change). */

@@ -55,12 +55,20 @@ workloadNames()
     return names;
 }
 
-isa::Program
-makeWorkload(const std::string &name, const WorkloadParams &p)
+const WorkloadInfo *
+findWorkload(const std::string &name)
 {
     for (const WorkloadInfo &info : allWorkloads())
         if (info.name == name)
-            return info.make(p);
+            return &info;
+    return nullptr;
+}
+
+isa::Program
+makeWorkload(const std::string &name, const WorkloadParams &p)
+{
+    if (const WorkloadInfo *info = findWorkload(name))
+        return info->make(p);
     std::string known;
     for (const WorkloadInfo &info : allWorkloads())
         known += (known.empty() ? "" : ", ") + info.name;

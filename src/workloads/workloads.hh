@@ -116,6 +116,9 @@ const std::vector<WorkloadInfo> &allWorkloads();
 /** Names only, in suite order. */
 std::vector<std::string> workloadNames();
 
+/** The registry entry named @p name; nullptr when there is none. */
+const WorkloadInfo *findWorkload(const std::string &name);
+
 /** Build a workload by name; SSMT_FATALs on an unknown name. */
 isa::Program makeWorkload(const std::string &name,
                           const WorkloadParams &p = {});

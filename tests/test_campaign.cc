@@ -59,14 +59,14 @@ TEST(CampaignSpec, CanonicalJsonRoundTrips)
     spec.faults.site = sim::FaultSite::PredCacheFlip;
     spec.faults.count = 3;
     spec.faults.seed = 99;
-    spec.maxRetries = 2;
-    spec.cycleBudget = 123456;
-    spec.resumeOnWatchdog = true;
-    spec.isolate = true;
-    spec.wallDeadlineMs = 1500;
-    spec.memLimitMb = 512;
-    spec.cpuLimitSeconds = 60;
-    spec.backoffMs = 10;
+    spec.policy.maxRetries = 2;
+    spec.policy.cycleBudget = 123456;
+    spec.policy.resumeOnWatchdog = true;
+    spec.policy.isolate = true;
+    spec.policy.wallDeadlineMs = 1500;
+    spec.policy.memLimitMb = 512;
+    spec.policy.cpuLimitSeconds = 60;
+    spec.policy.backoffMs = 10;
     spec.crashes.emplace_back("comp/baseline/s0",
                               sim::CrashKind::Abort);
 
@@ -75,7 +75,8 @@ TEST(CampaignSpec, CanonicalJsonRoundTrips)
     EXPECT_EQ(sim::specJson(parsed), json);
     EXPECT_EQ(parsed.modes, spec.modes);
     EXPECT_EQ(parsed.seeds, spec.seeds);
-    EXPECT_EQ(parsed.wallDeadlineMs, spec.wallDeadlineMs);
+    EXPECT_EQ(parsed.policy.wallDeadlineMs,
+              spec.policy.wallDeadlineMs);
     ASSERT_EQ(parsed.crashes.size(), 1u);
     EXPECT_EQ(parsed.crashes[0].first, "comp/baseline/s0");
     EXPECT_EQ(parsed.crashes[0].second, sim::CrashKind::Abort);
@@ -84,6 +85,53 @@ TEST(CampaignSpec, CanonicalJsonRoundTrips)
                  sim::SimError);
     EXPECT_THROW(sim::parseSpec(json.substr(0, json.size() / 2)),
                  sim::SimError);
+}
+
+TEST(CampaignSpec, SpecBytesArePinned)
+{
+    // Every field off its default. The spec text names campaign
+    // directories, journal headers and manifests, so its keys, their
+    // order and the hash must never move.
+    sim::CampaignSpec spec;
+    spec.name = "pinned";
+    spec.workloads = {"comp", "go"};
+    spec.modes = {sim::Mode::Baseline, sim::Mode::Microthread};
+    spec.seeds = {0, 7};
+    spec.scale = 2;
+    spec.sampleInterval = 2000;
+    spec.maxInsts = 50000;
+    spec.faults.site = sim::FaultSite::PredCacheFlip;
+    spec.faults.seed = 99;
+    spec.faults.count = 3;
+    spec.faults.startCycle = 100;
+    spec.faults.period = 10;
+    spec.policy.maxRetries = 2;
+    spec.policy.cycleBudget = 123456;
+    spec.policy.resumeOnWatchdog = true;
+    spec.policy.isolate = true;
+    spec.policy.wallDeadlineMs = 1500;
+    spec.policy.memLimitMb = 512;
+    spec.policy.cpuLimitSeconds = 60;
+    spec.policy.backoffMs = 10;
+    spec.crashes.emplace_back("comp/baseline/s0",
+                              sim::CrashKind::Abort);
+
+    const std::string want =
+        "{\"name\":\"pinned\",\"workloads\":[{\"name\":\"comp\"},"
+        "{\"name\":\"go\"}],\"modes\":[{\"name\":\"baseline\"},"
+        "{\"name\":\"microthread\"}],\"seeds\":[0,7],\"scale\":2,"
+        "\"sampleInterval\":2000,\"maxInsts\":50000,"
+        "\"faults\":{\"site\":\"pred-cache-flip\",\"seed\":99,"
+        "\"count\":3,\"startCycle\":100,\"period\":10},"
+        "\"maxRetries\":2,\"cycleBudget\":123456,"
+        "\"resumeOnWatchdog\":true,\"isolate\":true,"
+        "\"wallDeadlineMs\":1500,\"memLimitMb\":512,"
+        "\"cpuLimitSeconds\":60,\"backoffMs\":10,"
+        "\"crashes\":[{\"cell\":\"comp/baseline/s0\","
+        "\"kind\":\"abort\"}]}";
+    EXPECT_EQ(sim::specJson(spec), want);
+    EXPECT_EQ(sim::specHash(spec), "e334184d872cdf78");
+    EXPECT_EQ(sim::specJson(sim::parseSpec(want)), want);
 }
 
 TEST(CampaignSpec, CellEnumerationIsWorkloadMajor)
@@ -159,8 +207,8 @@ TEST(Campaign, CrashedCellsPersistAndReplayFromTheStore)
 {
     sim::CampaignSpec spec = smallSpec();
     spec.seeds = {0};
-    spec.isolate = true;
-    spec.wallDeadlineMs = 60000;
+    spec.policy.isolate = true;
+    spec.policy.wallDeadlineMs = 60000;
     spec.crashes.emplace_back("comp/baseline/s0",
                               sim::CrashKind::Abort);
 

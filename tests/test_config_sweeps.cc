@@ -35,7 +35,7 @@ TEST(ConfigSweepTest, RedirectPenaltyMonotone)
     for (int penalty : {2, 12, 40}) {
         sim::MachineConfig cfg;
         cfg.redirectPenalty = penalty;
-        sim::Stats stats = sim::runProgram(prog, cfg);
+        sim::Stats stats = sim::runProgramChecked(prog, cfg, "prog");
         EXPECT_GE(stats.cycles, prev) << "penalty " << penalty;
         prev = stats.cycles;
     }
@@ -48,7 +48,7 @@ TEST(ConfigSweepTest, WindowSizeMonotone)
     for (int window : {32, 128, 512}) {
         sim::MachineConfig cfg;
         cfg.windowSize = window;
-        sim::Stats stats = sim::runProgram(prog, cfg);
+        sim::Stats stats = sim::runProgramChecked(prog, cfg, "prog");
         EXPECT_LE(stats.cycles, prev) << "window " << window;
         prev = stats.cycles;
     }
@@ -61,7 +61,7 @@ TEST(ConfigSweepTest, FuCountMonotone)
     for (int fus : {1, 4, 16}) {
         sim::MachineConfig cfg;
         cfg.numFUs = fus;
-        sim::Stats stats = sim::runProgram(prog, cfg);
+        sim::Stats stats = sim::runProgramChecked(prog, cfg, "prog");
         EXPECT_LE(stats.cycles, prev) << "FUs " << fus;
         prev = stats.cycles;
     }
@@ -75,8 +75,8 @@ TEST(ConfigSweepTest, DramLatencyHurts)
     fast.mem.dramLatency = 20;
     sim::MachineConfig slow;
     slow.mem.dramLatency = 300;
-    EXPECT_LT(sim::runProgram(prog, fast).cycles,
-              sim::runProgram(prog, slow).cycles);
+    EXPECT_LT(sim::runProgramChecked(prog, fast, "prog").cycles,
+              sim::runProgramChecked(prog, slow, "prog").cycles);
 }
 
 TEST(ConfigSweepTest, FetchWidthHelps)
@@ -86,8 +86,8 @@ TEST(ConfigSweepTest, FetchWidthHelps)
     narrow.fetchWidth = 2;
     sim::MachineConfig wide;
     wide.fetchWidth = 16;
-    EXPECT_LT(sim::runProgram(prog, wide).cycles,
-              sim::runProgram(prog, narrow).cycles);
+    EXPECT_LT(sim::runProgramChecked(prog, wide, "prog").cycles,
+              sim::runProgramChecked(prog, narrow, "prog").cycles);
 }
 
 class PathNSweep : public testing::TestWithParam<int>
@@ -126,7 +126,7 @@ TEST_P(PathNSweep, SeqDeltaMatchingHoldsAtEveryN)
     sim::MachineConfig cfg;
     cfg.mode = sim::Mode::Microthread;
     cfg.pathN = GetParam();
-    sim::Stats stats = sim::runProgram(prog, cfg);
+    sim::Stats stats = sim::runProgramChecked(prog, cfg, "prog");
     if (stats.spawns > 500) {
         EXPECT_GT(stats.predEarly + stats.predLate, 0u)
             << "n=" << GetParam();
@@ -157,7 +157,7 @@ TEST(ConfigSweepTest, McbBoundsRoutineSize)
         sim::MachineConfig cfg;
         cfg.mode = sim::Mode::Microthread;
         cfg.builder.mcbEntries = mcb;
-        sim::Stats stats = sim::runProgram(prog, cfg);
+        sim::Stats stats = sim::runProgramChecked(prog, cfg, "prog");
         if (stats.build.built > 0) {
             EXPECT_LE(stats.build.avgRoutineSize(),
                       static_cast<double>(mcb) + 1.0)
@@ -173,7 +173,7 @@ TEST(ConfigSweepTest, SmallPathCacheStillFunctions)
     cfg.mode = sim::Mode::Microthread;
     cfg.pathCacheEntries = 64;
     cfg.pathCacheAssoc = 4;
-    sim::Stats stats = sim::runProgram(prog, cfg);
+    sim::Stats stats = sim::runProgramChecked(prog, cfg, "prog");
     EXPECT_GT(stats.ipc(), 0.0);
 }
 
@@ -184,7 +184,7 @@ TEST(ConfigSweepTest, PrbSmallerThanScopeBlocksBuilds)
     cfg.mode = sim::Mode::Microthread;
     cfg.pathN = 16;
     cfg.prbEntries = 16;    // cannot hold a 16-branch scope
-    sim::Stats stats = sim::runProgram(prog, cfg);
+    sim::Stats stats = sim::runProgramChecked(prog, cfg, "prog");
     EXPECT_EQ(stats.build.built, 0u);
     EXPECT_GT(stats.build.failScopeNotInPrb, 0u);
 }
@@ -197,8 +197,8 @@ TEST(ConfigSweepTest, ZeroLatencyHierarchyBeatsDefault)
     fast.mem.l2Latency = 1;
     fast.mem.dramLatency = 1;
     sim::MachineConfig normal;
-    EXPECT_LT(sim::runProgram(prog, fast).cycles,
-              sim::runProgram(prog, normal).cycles);
+    EXPECT_LT(sim::runProgramChecked(prog, fast, "prog").cycles,
+              sim::runProgramChecked(prog, normal, "prog").cycles);
 }
 
 TEST(ConfigSweepDeathTest, InvalidNPanics)

@@ -54,7 +54,7 @@ TEST(MicrothreadE2E, PredictionsMostlyCorrect)
     // microthread predictions should be overwhelmingly correct even
     // though the hardware predictor flounders.
     isa::Program prog = workloads::makeSynthetic(hardSpec());
-    sim::Stats stats = sim::runProgram(prog, mtConfig());
+    sim::Stats stats = sim::runProgramChecked(prog, mtConfig(), "prog");
     uint64_t total = stats.microPredCorrect + stats.microPredWrong;
     ASSERT_GT(total, 0u);
     EXPECT_GT(stats.microPredCorrect, total * 9 / 10);
@@ -64,8 +64,8 @@ TEST(MicrothreadE2E, SpeedsUpDifficultKernel)
 {
     isa::Program prog = workloads::makeSynthetic(hardSpec());
     sim::MachineConfig cfg;
-    sim::Stats base = sim::runProgram(prog, cfg);
-    sim::Stats mt = sim::runProgram(prog, mtConfig());
+    sim::Stats base = sim::runProgramChecked(prog, cfg, "prog");
+    sim::Stats mt = sim::runProgramChecked(prog, mtConfig(), "prog");
     EXPECT_GT(base.hwMispredictRate(), 0.03);
     EXPECT_GT(sim::speedup(mt, base), 1.0);
     EXPECT_LT(mt.usedMispredictRate(), base.hwMispredictRate());
@@ -76,7 +76,7 @@ TEST(MicrothreadE2E, EasyKernelSeesLittleActivity)
     workloads::SyntheticSpec spec = hardSpec();
     spec.takenPercent = {0, 100, 0, 100};   // fully biased
     isa::Program prog = workloads::makeSynthetic(spec);
-    sim::Stats stats = sim::runProgram(prog, mtConfig());
+    sim::Stats stats = sim::runProgramChecked(prog, mtConfig(), "prog");
     // Nothing is difficult, so (almost) nothing is promoted; allow
     // warm-up noise.
     EXPECT_LT(stats.promotionsRequested, 4u);
@@ -107,14 +107,14 @@ TEST(MicrothreadE2E, AbortMechanismFires)
     // Paths from the two 50% sites deviate half the time after the
     // spawn, so post-spawn aborts must occur.
     isa::Program prog = workloads::makeSynthetic(hardSpec());
-    sim::Stats stats = sim::runProgram(prog, mtConfig());
+    sim::Stats stats = sim::runProgramChecked(prog, mtConfig(), "prog");
     EXPECT_GT(stats.spawnAbortPrefix + stats.abortsPostSpawn, 0u);
 }
 
 TEST(MicrothreadE2E, TimelinessClassesPopulated)
 {
     isa::Program prog = workloads::makeSynthetic(hardSpec());
-    sim::Stats stats = sim::runProgram(prog, mtConfig());
+    sim::Stats stats = sim::runProgramChecked(prog, mtConfig(), "prog");
     EXPECT_GT(stats.predEarly + stats.predLate + stats.predUseless +
                   stats.predNeverReached,
               0u);
@@ -126,8 +126,8 @@ TEST(MicrothreadE2E, OverheadModeUsesNoPredictions)
     sim::MachineConfig cfg = mtConfig();
     cfg.mode = sim::Mode::MicrothreadNoPredictions;
     sim::MachineConfig base_cfg;
-    sim::Stats overhead = sim::runProgram(prog, cfg);
-    sim::Stats base = sim::runProgram(prog, base_cfg);
+    sim::Stats overhead = sim::runProgramChecked(prog, cfg, "prog");
+    sim::Stats base = sim::runProgramChecked(prog, base_cfg, "prog");
     EXPECT_GT(overhead.spawns, 0u);
     EXPECT_EQ(overhead.predEarly, 0u);
     EXPECT_EQ(overhead.earlyRecoveries, 0u);
@@ -140,9 +140,9 @@ TEST(MicrothreadE2E, OracleRemovesDifficultPathMispredicts)
 {
     isa::Program prog = workloads::makeSynthetic(hardSpec());
     sim::MachineConfig cfg;
-    sim::Stats base = sim::runProgram(prog, cfg);
+    sim::Stats base = sim::runProgramChecked(prog, cfg, "prog");
     cfg.mode = sim::Mode::OracleDifficultPath;
-    sim::Stats oracle = sim::runProgram(prog, cfg);
+    sim::Stats oracle = sim::runProgramChecked(prog, cfg, "prog");
     EXPECT_GT(oracle.oracleOverrides, 0u);
     EXPECT_LT(oracle.usedMispredicts, base.usedMispredicts);
     EXPECT_GE(sim::speedup(oracle, base), 1.0);
@@ -151,7 +151,7 @@ TEST(MicrothreadE2E, OracleRemovesDifficultPathMispredicts)
 TEST(MicrothreadE2E, SpawnCountsAreConsistent)
 {
     isa::Program prog = workloads::makeSynthetic(hardSpec());
-    sim::Stats stats = sim::runProgram(prog, mtConfig());
+    sim::Stats stats = sim::runProgramChecked(prog, mtConfig(), "prog");
     EXPECT_EQ(stats.spawnAttempts, stats.spawnAbortPrefix +
                                        stats.spawnNoContext +
                                        stats.spawns);
@@ -164,9 +164,9 @@ TEST(MicrothreadE2E, FewerMicrocontextsThrottleSpawns)
     isa::Program prog = workloads::makeSynthetic(hardSpec());
     sim::MachineConfig cfg = mtConfig();
     cfg.numMicrocontexts = 1;
-    sim::Stats narrow = sim::runProgram(prog, cfg);
+    sim::Stats narrow = sim::runProgramChecked(prog, cfg, "prog");
     cfg.numMicrocontexts = 8;
-    sim::Stats wide = sim::runProgram(prog, cfg);
+    sim::Stats wide = sim::runProgramChecked(prog, cfg, "prog");
     EXPECT_GE(wide.spawns, narrow.spawns);
     EXPECT_GE(narrow.spawnNoContext, wide.spawnNoContext);
 }
@@ -176,12 +176,12 @@ TEST(MicrothreadE2E, PruningProducesPrunedRoutines)
     isa::Program prog = workloads::makeSynthetic(hardSpec());
     sim::MachineConfig cfg = mtConfig();
     cfg.builder.pruningEnabled = true;
-    sim::Stats stats = sim::runProgram(prog, cfg);
+    sim::Stats stats = sim::runProgramChecked(prog, cfg, "prog");
     EXPECT_GT(stats.build.prunedSubtrees, 0u);
     // Pruned routines are no larger on average than unpruned ones
     // from the same kernel (Figure 8's direction).
     sim::MachineConfig raw = mtConfig();
-    sim::Stats unpruned = sim::runProgram(prog, raw);
+    sim::Stats unpruned = sim::runProgramChecked(prog, raw, "prog");
     EXPECT_LE(stats.build.avgLongestChain(),
               unpruned.build.avgLongestChain() + 0.01);
 }
@@ -197,8 +197,8 @@ TEST(MicrothreadE2E, PathStabilityBeatsMaximalDifficulty)
         spec.takenPercent = {0, 100, bias, bias};
         isa::Program prog = workloads::makeSynthetic(spec);
         sim::MachineConfig cfg;
-        sim::Stats base = sim::runProgram(prog, cfg);
-        sim::Stats mt = sim::runProgram(prog, mtConfig());
+        sim::Stats base = sim::runProgramChecked(prog, cfg, "prog");
+        sim::Stats mt = sim::runProgramChecked(prog, mtConfig(), "prog");
         return sim::speedup(mt, base);
     };
     EXPECT_GT(speedup_at(80), 1.0);
@@ -210,7 +210,7 @@ TEST(MicrothreadE2E, BuildLatencyDelaysPromotions)
     isa::Program prog = workloads::makeSynthetic(hardSpec());
     sim::MachineConfig cfg = mtConfig();
     cfg.buildLatency = 10'000'000;  // effectively never finishes
-    sim::Stats stats = sim::runProgram(prog, cfg);
+    sim::Stats stats = sim::runProgramChecked(prog, cfg, "prog");
     EXPECT_LE(stats.promotionsCompleted, 1u);
     EXPECT_EQ(stats.spawns, 0u);
 }

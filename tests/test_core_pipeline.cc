@@ -61,7 +61,7 @@ TEST(PipelineTest, RetiredCountMatchesFunctionalCount)
     uint64_t functional = run(prog, regs, mem, 100'000'000);
 
     sim::MachineConfig cfg;
-    sim::Stats stats = sim::runProgram(prog, cfg);
+    sim::Stats stats = sim::runProgramChecked(prog, cfg, "prog");
     EXPECT_EQ(stats.retiredInsts, functional);
 }
 
@@ -77,7 +77,7 @@ TEST(PipelineTest, IpcBoundedByFetchWidth)
     b.bne(R(20), R(0), "top");
     b.halt();
     sim::MachineConfig cfg;
-    sim::Stats stats = sim::runProgram(b.build("wide"), cfg);
+    sim::Stats stats = sim::runProgramChecked(b.build("wide"), cfg, "wide");
     EXPECT_LE(stats.ipc(), cfg.fetchWidth);
     EXPECT_GT(stats.ipc(), 4.0);
 }
@@ -94,7 +94,7 @@ TEST(PipelineTest, DependentChainSerializes)
     b.bne(R(20), R(0), "top");
     b.halt();
     sim::MachineConfig cfg;
-    sim::Stats stats = sim::runProgram(b.build("chain"), cfg);
+    sim::Stats stats = sim::runProgramChecked(b.build("chain"), cfg, "chain");
     // One-per-cycle dataflow limit (plus loop overhead and fill).
     EXPECT_LE(stats.ipc(), 1.4);
 }
@@ -115,8 +115,10 @@ TEST(PipelineTest, DivChainSlowerThanAddChain)
         return b.build("c");
     };
     sim::MachineConfig cfg;
-    sim::Stats add_stats = sim::runProgram(chain(Opcode::Add), cfg);
-    sim::Stats div_stats = sim::runProgram(chain(Opcode::Div), cfg);
+    sim::Stats add_stats =
+        sim::runProgramChecked(chain(Opcode::Add), cfg, "add-chain");
+    sim::Stats div_stats =
+        sim::runProgramChecked(chain(Opcode::Div), cfg, "div-chain");
     // The serial div chain runs ~12x slower once the I-cache warms.
     EXPECT_GT(div_stats.cycles, add_stats.cycles * 5);
 }
@@ -150,8 +152,8 @@ TEST(PipelineTest, MispredictPenaltyVisible)
         return b.build(random ? "rand" : "biased");
     };
     sim::MachineConfig cfg;
-    sim::Stats biased = sim::runProgram(loop(false), cfg);
-    sim::Stats random = sim::runProgram(loop(true), cfg);
+    sim::Stats biased = sim::runProgramChecked(loop(false), cfg, "biased");
+    sim::Stats random = sim::runProgramChecked(loop(true), cfg, "random");
     EXPECT_GT(random.usedMispredictRate(), 0.1);
     EXPECT_LT(biased.usedMispredictRate(), 0.02);
     // Each mispredict costs at least the 20-cycle redirect.
@@ -166,7 +168,8 @@ TEST(PipelineTest, ColdICacheStallsFetch)
     // A program much larger than one I-cache line shows cold fetch
     // misses as bubbles.
     sim::MachineConfig cfg;
-    sim::Stats stats = sim::runProgram(straightLine(3000), cfg);
+    sim::Stats stats =
+        sim::runProgramChecked(straightLine(3000), cfg, "straight");
     EXPECT_GT(stats.fetchBubbleCycles, 0u);
 }
 
@@ -184,7 +187,7 @@ TEST(PipelineTest, DramBoundLoopIsSlow)
     b.bne(R(20), R(0), "top");
     b.halt();
     sim::MachineConfig cfg;
-    sim::Stats stats = sim::runProgram(b.build("dram"), cfg);
+    sim::Stats stats = sim::runProgramChecked(b.build("dram"), cfg, "dram");
     // Not latency-bound per load (they are independent), but misses
     // must show up in the cache stats.
     EXPECT_GT(stats.l2Misses, 1900u);
@@ -196,8 +199,8 @@ TEST(PipelineTest, DeterministicAcrossRuns)
         workloads::makeSynthetic(workloads::SyntheticSpec{});
     sim::MachineConfig cfg;
     cfg.mode = sim::Mode::Microthread;
-    sim::Stats a = sim::runProgram(prog, cfg);
-    sim::Stats b = sim::runProgram(prog, cfg);
+    sim::Stats a = sim::runProgramChecked(prog, cfg, "prog");
+    sim::Stats b = sim::runProgramChecked(prog, cfg, "prog");
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.retiredInsts, b.retiredInsts);
     EXPECT_EQ(a.spawns, b.spawns);
@@ -211,7 +214,7 @@ TEST(PipelineTest, MaxInstsStopsRun)
     b.j("forever");
     sim::MachineConfig cfg;
     cfg.maxInsts = 5000;
-    sim::Stats stats = sim::runProgram(b.build("loop"), cfg);
+    sim::Stats stats = sim::runProgramChecked(b.build("loop"), cfg, "loop");
     EXPECT_GE(stats.retiredInsts, 5000u);
     EXPECT_LT(stats.retiredInsts, 5000u + 64);
 }

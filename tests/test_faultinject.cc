@@ -172,9 +172,14 @@ TEST(FaultInjectTest, EverySiteIsDeterministicAndActive)
         cfg.faults.seed = 0xfeedULL + static_cast<uint64_t>(site);
         cfg.faults.period = 50;
 
-        FaultStats fs1, fs2;
-        Stats s1 = runProgramChecked(prog, cfg, "det1", 0, &fs1);
-        Stats s2 = runProgramChecked(prog, cfg, "det2", 0, &fs2);
+        std::vector<BatchResult> runs =
+            BatchRunner(1).run({{"det1", prog, cfg}, {"det2", prog, cfg}});
+        ASSERT_TRUE(runs[0].ok()) << runs[0].error;
+        ASSERT_TRUE(runs[1].ok()) << runs[1].error;
+        const Stats &s1 = runs[0].stats;
+        const Stats &s2 = runs[1].stats;
+        const FaultStats &fs1 = runs[0].faults;
+        const FaultStats &fs2 = runs[1].faults;
 
         EXPECT_EQ(std::memcmp(&s1, &s2, sizeof(Stats)), 0)
             << "non-deterministic stats at site "
@@ -256,7 +261,7 @@ TEST(FaultInjectTest, ArchitecturalInvarianceCampaign)
 TEST(FaultInjectTest, CheckerStillFlagsCorruptedStats)
 {
     isa::Program prog = workloads::makeSynthetic(hardSpec());
-    Stats stats = runProgram(prog, mtConfig());
+    Stats stats = runProgramChecked(prog, mtConfig(), "prog");
     ASSERT_TRUE(StatsChecker::check(stats).empty());
 
     Stats corrupt = stats;

@@ -69,7 +69,7 @@ TEST_P(FuzzCosim, TimingInvariantsHold)
     cfg.mode = sim::Mode::Microthread;
     cfg.trainingInterval = 8;
     cfg.pathN = 6;
-    sim::Stats stats = sim::runProgram(prog, cfg);
+    sim::Stats stats = sim::runProgramChecked(prog, cfg, "prog");
     // Cycles can never undercut the dataflow/width lower bound.
     EXPECT_GE(stats.cycles,
               stats.retiredInsts / static_cast<uint64_t>(16));

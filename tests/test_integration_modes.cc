@@ -50,9 +50,9 @@ TEST_P(ModeIntegration, AllModesPreserveArchitecture)
 TEST_P(ModeIntegration, OracleNeverSlowerThanBaseline)
 {
     sim::MachineConfig cfg;
-    sim::Stats base = sim::runProgram(prog_, cfg);
+    sim::Stats base = sim::runProgramChecked(prog_, cfg, "prog");
     cfg.mode = sim::Mode::OracleDifficultPath;
-    sim::Stats oracle = sim::runProgram(prog_, cfg);
+    sim::Stats oracle = sim::runProgramChecked(prog_, cfg, "prog");
     EXPECT_LE(oracle.usedMispredicts, base.usedMispredicts);
     EXPECT_GE(sim::speedup(oracle, base), 0.999);
 }
@@ -62,7 +62,7 @@ TEST_P(ModeIntegration, StatInvariantsHold)
     sim::MachineConfig cfg;
     cfg.mode = sim::Mode::Microthread;
     cfg.builder.pruningEnabled = true;
-    sim::Stats stats = sim::runProgram(prog_, cfg);
+    sim::Stats stats = sim::runProgramChecked(prog_, cfg, "prog");
 
     EXPECT_EQ(stats.spawnAttempts, stats.spawnAbortPrefix +
                                        stats.spawnNoContext +
@@ -81,9 +81,9 @@ TEST_P(ModeIntegration, StatInvariantsHold)
 TEST_P(ModeIntegration, MicrothreadModeReducesOrKeepsMispredicts)
 {
     sim::MachineConfig cfg;
-    sim::Stats base = sim::runProgram(prog_, cfg);
+    sim::Stats base = sim::runProgramChecked(prog_, cfg, "prog");
     cfg.mode = sim::Mode::Microthread;
-    sim::Stats mt = sim::runProgram(prog_, cfg);
+    sim::Stats mt = sim::runProgramChecked(prog_, cfg, "prog");
     // Allow a tiny tolerance: bogus recoveries can add a handful.
     EXPECT_LE(mt.usedMispredicts,
               base.usedMispredicts + base.usedMispredicts / 20 + 8);
@@ -100,13 +100,13 @@ TEST(IntegrationTest, HwMispredictRateInvariantAcrossModes)
     // its misprediction profile must not change.
     isa::Program prog = workloads::makeWorkload("comp");
     sim::MachineConfig cfg;
-    sim::Stats base = sim::runProgram(prog, cfg);
+    sim::Stats base = sim::runProgramChecked(prog, cfg, "prog");
     cfg.mode = sim::Mode::Microthread;
-    sim::Stats mt = sim::runProgram(prog, cfg);
+    sim::Stats mt = sim::runProgramChecked(prog, cfg, "prog");
     EXPECT_EQ(base.condHwMispredicts, mt.condHwMispredicts);
     EXPECT_EQ(base.condBranches, mt.condBranches);
     cfg.mode = sim::Mode::OracleDifficultPath;
-    sim::Stats oracle = sim::runProgram(prog, cfg);
+    sim::Stats oracle = sim::runProgramChecked(prog, cfg, "prog");
     EXPECT_EQ(base.condHwMispredicts, oracle.condHwMispredicts);
 }
 
@@ -116,11 +116,11 @@ TEST(IntegrationTest, PaperHeadlineShapeOnSample)
     // oracle >= microthread >= baseline.
     isa::Program prog = workloads::makeWorkload("go");
     sim::MachineConfig cfg;
-    sim::Stats base = sim::runProgram(prog, cfg);
+    sim::Stats base = sim::runProgramChecked(prog, cfg, "prog");
     cfg.mode = sim::Mode::Microthread;
-    sim::Stats mt = sim::runProgram(prog, cfg);
+    sim::Stats mt = sim::runProgramChecked(prog, cfg, "prog");
     cfg.mode = sim::Mode::OracleDifficultPath;
-    sim::Stats oracle = sim::runProgram(prog, cfg);
+    sim::Stats oracle = sim::runProgramChecked(prog, cfg, "prog");
     EXPECT_GT(sim::speedup(mt, base), 1.0);
     EXPECT_GT(sim::speedup(oracle, base),
               sim::speedup(mt, base) * 0.95);
@@ -136,7 +136,7 @@ TEST(IntegrationTest, Section431AbortRatesInPaperBallpark)
         sim::MachineConfig cfg;
         cfg.mode = sim::Mode::Microthread;
         sim::Stats stats =
-            sim::runProgram(workloads::makeWorkload(name), cfg);
+            sim::runProgramChecked(workloads::makeWorkload(name), cfg, name);
         if (stats.spawnAttempts > 100)
             pre.push_back(stats.preAllocationAbortRate());
         if (stats.spawns > 100)

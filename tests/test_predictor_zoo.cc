@@ -27,16 +27,6 @@ namespace
 using namespace ssmt;
 using bpred::PredictorKind;
 
-workloads::WorkloadInfo
-findWorkload(const std::string &name)
-{
-    for (const auto &info : workloads::allWorkloads())
-        if (info.name == name)
-            return info;
-    ADD_FAILURE() << "workload " << name << " not registered";
-    return workloads::allWorkloads().front();
-}
-
 sim::MachineConfig
 zooConfig(PredictorKind kind, sim::Mode mode = sim::Mode::Microthread)
 {
@@ -50,6 +40,19 @@ std::string
 goldenText(const std::string &name, const sim::Stats &stats)
 {
     return sim::goldenJson({name, sim::kGoldenConfigName, stats});
+}
+
+/** Run one cell through BatchRunner, checkpointing after
+ *  @p snapshot_at (0 = never) and restoring @p resume_from first
+ *  ("" = cold start). */
+sim::BatchResult
+runCell(const isa::Program &prog, const sim::MachineConfig &cfg,
+        uint64_t snapshot_at, const std::string &resume_from = "")
+{
+    sim::BatchJob job{"comp", prog, cfg};
+    job.snapshotAtCycle = snapshot_at;
+    job.resumeFrom = resume_from;
+    return sim::BatchRunner(1).run({job})[0];
 }
 
 TEST(PredictorZoo, FingerprintNamesTheBackend)
@@ -97,7 +100,7 @@ TEST(PredictorZoo, ValidateRejectsBadBpredGeometry)
 
 TEST(PredictorZoo, EveryBackendRunsDeterministically)
 {
-    isa::Program prog = findWorkload("comp").make({});
+    isa::Program prog = workloads::makeWorkload("comp");
     for (PredictorKind kind : bpred::allPredictorKinds()) {
         sim::MachineConfig cfg = zooConfig(kind);
         sim::Stats a = sim::runProgramChecked(prog, cfg, "comp");
@@ -114,7 +117,7 @@ TEST(PredictorZoo, CommittedStreamIsBackendInvariant)
 {
     // Direction prediction only steers speculation; every backend
     // must retire the same architectural work.
-    isa::Program prog = findWorkload("go").make({});
+    isa::Program prog = workloads::makeWorkload("go");
     sim::Stats base =
         sim::runProgramChecked(prog, zooConfig(PredictorKind::Hybrid),
                                "go");
@@ -131,58 +134,45 @@ TEST(PredictorZoo, CommittedStreamIsBackendInvariant)
 
 TEST(PredictorZoo, SnapshotResumeIsByteIdenticalPerBackend)
 {
-    isa::Program prog = findWorkload("comp").make({});
+    isa::Program prog = workloads::makeWorkload("comp");
     for (PredictorKind kind :
          {PredictorKind::Tage, PredictorKind::Perceptron}) {
         sim::MachineConfig cfg = zooConfig(kind);
 
-        sim::RunArtifacts straightArt;
-        sim::Stats straight = sim::runProgramChecked(
-            prog, cfg, "comp", 0, nullptr, &straightArt,
-            /*snapshot_at_cycle=*/5000);
-        ASSERT_FALSE(straightArt.snapshot.empty())
+        sim::BatchResult straight = runCell(prog, cfg, 5000);
+        ASSERT_TRUE(straight.ok()) << straight.error;
+        const std::string &snapshot = straight.artifacts.snapshot;
+        ASSERT_FALSE(snapshot.empty())
             << bpred::predictorKindName(kind);
 
-        sim::Stats resumed = sim::runProgramChecked(
-            prog, cfg, "comp", 0, nullptr, nullptr, 0,
-            &straightArt.snapshot);
-        EXPECT_EQ(goldenText("comp", resumed),
-                  goldenText("comp", straight))
+        sim::BatchResult resumed = runCell(prog, cfg, 0, snapshot);
+        ASSERT_TRUE(resumed.ok()) << resumed.error;
+        EXPECT_EQ(goldenText("comp", resumed.stats),
+                  goldenText("comp", straight.stats))
             << bpred::predictorKindName(kind);
 
         // Restore-then-recheckpoint matches the straight checkpoint:
         // the backend's save() loses nothing.
-        sim::RunArtifacts straightLater, resumedLater;
-        sim::runProgramChecked(prog, cfg, "comp", 0, nullptr,
-                               &straightLater, 7000);
-        sim::runProgramChecked(prog, cfg, "comp", 0, nullptr,
-                               &resumedLater, 7000,
-                               &straightArt.snapshot);
-        EXPECT_EQ(resumedLater.snapshot, straightLater.snapshot)
+        EXPECT_EQ(runCell(prog, cfg, 7000, snapshot).artifacts.snapshot,
+                  runCell(prog, cfg, 7000).artifacts.snapshot)
             << bpred::predictorKindName(kind);
     }
 }
 
 TEST(PredictorZoo, CrossBackendRestoreIsRejected)
 {
-    isa::Program prog = findWorkload("comp").make({});
+    isa::Program prog = workloads::makeWorkload("comp");
     sim::MachineConfig tage = zooConfig(PredictorKind::Tage);
 
-    sim::RunArtifacts art;
-    sim::runProgramChecked(prog, tage, "comp", 0, nullptr, &art, 5000);
-    ASSERT_FALSE(art.snapshot.empty());
+    std::string snapshot = runCell(prog, tage, 5000).artifacts.snapshot;
+    ASSERT_FALSE(snapshot.empty());
 
     for (PredictorKind other :
          {PredictorKind::Hybrid, PredictorKind::Perceptron}) {
-        sim::MachineConfig cfg = zooConfig(other);
-        try {
-            sim::runProgramChecked(prog, cfg, "comp", 0, nullptr,
-                                   nullptr, 0, &art.snapshot);
-            FAIL() << "tage snapshot restored under "
-                   << bpred::predictorKindName(other);
-        } catch (const sim::SimError &err) {
-            EXPECT_EQ(err.code(), sim::ErrorCode::ConfigInvalid);
-        }
+        EXPECT_EQ(runCell(prog, zooConfig(other), 0, snapshot).errorCode,
+                  sim::ErrorCode::ConfigInvalid)
+            << "tage snapshot restored under "
+            << bpred::predictorKindName(other);
     }
 }
 
@@ -194,7 +184,7 @@ TEST(PredictorZoo, BatchesAgreeAcrossJobCountsPerBackend)
         sim::MachineConfig cfg = zooConfig(kind);
         std::vector<sim::BatchJob> batch;
         for (const char *name : names)
-            batch.push_back({name, findWorkload(name).make({}), cfg});
+            batch.push_back({name, workloads::makeWorkload(name), cfg});
 
         std::vector<sim::BatchResult> serial =
             sim::BatchRunner(1).run(batch, {});

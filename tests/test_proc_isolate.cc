@@ -114,7 +114,7 @@ TEST(ProcIsolate, HungChildKilledByWallDeadline)
 
     sim::BatchPolicy policy;
     policy.isolate = true;
-    policy.wallDeadlineSeconds = 1.0;
+    policy.wallDeadlineMs = 1000;
     std::vector<sim::BatchResult> results =
         sim::BatchRunner(2).run(batch, policy);
 
@@ -144,7 +144,7 @@ TEST(ProcIsolate, OomChildKilledByAddressSpaceLimit)
     policy.memLimitMb = 256;
     // Backstop: even if the allocator somehow survives the rlimit,
     // the deadline reaps the child instead of hanging the test.
-    policy.wallDeadlineSeconds = 30.0;
+    policy.wallDeadlineMs = 30000;
     std::vector<sim::BatchResult> results =
         sim::BatchRunner(2).run(batch, policy);
 

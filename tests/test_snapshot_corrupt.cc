@@ -13,9 +13,9 @@
 #include <vector>
 
 #include "cpu/ssmt_core.hh"
+#include "sim/batch_runner.hh"
 #include "sim/machine_config.hh"
 #include "sim/sim_error.hh"
-#include "sim/sim_runner.hh"
 #include "sim/snapshot.hh"
 #include "workloads/workloads.hh"
 
@@ -32,16 +32,18 @@ class SnapshotCorrupt : public ::testing::Test
     {
         prog_ = new isa::Program(workloads::makeSynthetic({}));
         cfg_.mode = sim::Mode::Microthread;
-        sim::RunArtifacts artifacts;
-        sim::runProgramChecked(*prog_, cfg_, "corrupt-corpus", 0,
-                               nullptr, &artifacts, 2000);
-        snapshot_ = artifacts.snapshot;
+        batch_ = {{"corrupt-corpus", *prog_, cfg_}};
+        batch_[0].snapshotAtCycle = 2000;
+        snapshot_ = sim::BatchRunner(1).run(batch_)[0].artifacts.snapshot;
         ASSERT_FALSE(snapshot_.empty());
+        batch_[0].name = "corrupt";
+        batch_[0].snapshotAtCycle = 0;
     }
 
     static void
     TearDownTestSuite()
     {
+        batch_.clear();
         delete prog_;
         prog_ = nullptr;
     }
@@ -50,31 +52,36 @@ class SnapshotCorrupt : public ::testing::Test
      *  raised, or ErrorCode::None when the document restored and ran
      *  cleanly. Anything else (other exception types, crashes) fails
      *  the test. Drives restoreMachineSnapshot directly so even an
-     *  empty document reaches the reader (runProgramChecked treats an
-     *  empty resume text as "run fresh"), then finishes the run
-     *  through the public resume path when the restore succeeded. */
+     *  empty document reaches the reader (BatchJob::resumeFrom treats
+     *  an empty text as "run fresh"), then finishes the run through
+     *  the batch resume path when the restore succeeded; there, any
+     *  non-SimError exception reads as ErrorCode::Internal, which no
+     *  caller accepts. */
     static sim::ErrorCode
     resumeVerdict(const std::string &doc)
     {
         try {
             cpu::SsmtCore core(*prog_, cfg_);
             sim::restoreMachineSnapshot(core, *prog_, cfg_, doc);
-            sim::runProgramChecked(*prog_, cfg_, "corrupt", 0,
-                                   nullptr, nullptr, 0, &doc);
-            return sim::ErrorCode::None;
         } catch (const sim::SimError &err) {
             return err.code();
         }
         // Let any non-SimError exception escape: the harness reports
         // it as the failure it is.
+        batch_[0].resumeFrom = doc;
+        return sim::BatchRunner(1).run(batch_)[0].errorCode;
     }
 
     static isa::Program *prog_;
+    /** The one resume job, reused so each document costs no
+     *  program copy. */
+    static std::vector<sim::BatchJob> batch_;
     static sim::MachineConfig cfg_;
     static std::string snapshot_;
 };
 
 isa::Program *SnapshotCorrupt::prog_ = nullptr;
+std::vector<sim::BatchJob> SnapshotCorrupt::batch_;
 sim::MachineConfig SnapshotCorrupt::cfg_;
 std::string SnapshotCorrupt::snapshot_;
 

@@ -24,16 +24,6 @@ namespace
 
 using namespace ssmt;
 
-workloads::WorkloadInfo
-findWorkload(const std::string &name)
-{
-    for (const auto &info : workloads::allWorkloads())
-        if (info.name == name)
-            return info;
-    ADD_FAILURE() << "workload " << name << " not registered";
-    return workloads::allWorkloads().front();
-}
-
 sim::MachineConfig
 testConfig(sim::Mode mode, uint64_t sample_interval = 0)
 {
@@ -49,141 +39,134 @@ goldenText(const std::string &name, const sim::Stats &stats)
     return sim::goldenJson({name, sim::kGoldenConfigName, stats});
 }
 
+/** Run one cell through BatchRunner, checkpointing after
+ *  @p snapshot_at (0 = never) and restoring @p resume_from first
+ *  ("" = cold start). */
+sim::BatchResult
+runCell(const isa::Program &prog, const sim::MachineConfig &cfg,
+        const std::string &label, uint64_t snapshot_at = 0,
+        const std::string &resume_from = "")
+{
+    sim::BatchJob job{label, prog, cfg};
+    job.snapshotAtCycle = snapshot_at;
+    job.resumeFrom = resume_from;
+    return sim::BatchRunner(1).run({job})[0];
+}
+
 TEST(SnapshotResume, ResumeIsByteIdenticalToStraightThrough)
 {
-    isa::Program prog = findWorkload("comp").make({});
+    isa::Program prog = workloads::makeWorkload("comp");
     sim::MachineConfig cfg =
         testConfig(sim::Mode::Microthread, /*sample_interval=*/500);
 
-    sim::RunArtifacts straightArt;
-    sim::Stats straight = sim::runProgramChecked(
-        prog, cfg, "comp", 0, nullptr, &straightArt,
-        /*snapshot_at_cycle=*/5000);
-    ASSERT_FALSE(straightArt.snapshot.empty());
-    ASSERT_EQ(straightArt.snapshotCycle, 5000u);
-    EXPECT_EQ(sim::snapshotCycle(straightArt.snapshot), 5000u);
-    EXPECT_EQ(sim::snapshotLabel(straightArt.snapshot), "comp");
+    sim::BatchResult straight = runCell(prog, cfg, "comp", 5000);
+    ASSERT_TRUE(straight.ok()) << straight.error;
+    const std::string &snapshot = straight.artifacts.snapshot;
+    ASSERT_FALSE(snapshot.empty());
+    ASSERT_EQ(straight.artifacts.snapshotCycle, 5000u);
+    EXPECT_EQ(sim::snapshotCycle(snapshot), 5000u);
+    EXPECT_EQ(sim::snapshotLabel(snapshot), "comp");
 
-    sim::RunArtifacts resumedArt;
-    sim::Stats resumed = sim::runProgramChecked(
-        prog, cfg, "comp", 0, nullptr, &resumedArt, 0,
-        &straightArt.snapshot);
+    sim::BatchResult resumed = runCell(prog, cfg, "comp", 0, snapshot);
+    ASSERT_TRUE(resumed.ok()) << resumed.error;
 
-    EXPECT_EQ(goldenText("comp", resumed), goldenText("comp", straight));
-    EXPECT_EQ(sim::seriesJson(resumedArt.series),
-              sim::seriesJson(straightArt.series));
+    EXPECT_EQ(goldenText("comp", resumed.stats),
+              goldenText("comp", straight.stats));
+    EXPECT_EQ(sim::seriesJson(resumed.artifacts.series),
+              sim::seriesJson(straight.artifacts.series));
 }
 
 TEST(SnapshotResume, SnapshotsAreDeterministicAndResaveStable)
 {
-    isa::Program prog = findWorkload("comp").make({});
+    isa::Program prog = workloads::makeWorkload("comp");
     sim::MachineConfig cfg = testConfig(sim::Mode::Microthread);
 
     // Two independent straight runs checkpoint byte-identically.
-    sim::RunArtifacts a, b;
-    sim::runProgramChecked(prog, cfg, "comp", 0, nullptr, &a, 5000);
-    sim::runProgramChecked(prog, cfg, "comp", 0, nullptr, &b, 5000);
-    ASSERT_FALSE(a.snapshot.empty());
-    EXPECT_EQ(a.snapshot, b.snapshot);
+    sim::BatchResult a = runCell(prog, cfg, "comp", 5000);
+    sim::BatchResult b = runCell(prog, cfg, "comp", 5000);
+    ASSERT_FALSE(a.artifacts.snapshot.empty());
+    EXPECT_EQ(a.artifacts.snapshot, b.artifacts.snapshot);
 
     // Restore-then-recheckpoint at a later cycle matches the
     // straight run's checkpoint at that cycle: restore loses nothing.
-    sim::RunArtifacts straightLater, resumedLater;
-    sim::runProgramChecked(prog, cfg, "comp", 0, nullptr,
-                           &straightLater, 7000);
-    sim::runProgramChecked(prog, cfg, "comp", 0, nullptr,
-                           &resumedLater, 7000, &a.snapshot);
-    ASSERT_FALSE(straightLater.snapshot.empty());
-    EXPECT_EQ(resumedLater.snapshot, straightLater.snapshot);
+    sim::BatchResult straightLater = runCell(prog, cfg, "comp", 7000);
+    sim::BatchResult resumedLater =
+        runCell(prog, cfg, "comp", 7000, a.artifacts.snapshot);
+    ASSERT_FALSE(straightLater.artifacts.snapshot.empty());
+    EXPECT_EQ(resumedLater.artifacts.snapshot,
+              straightLater.artifacts.snapshot);
 }
 
 TEST(SnapshotResume, WarmupSnapshotFansOutAcrossModes)
 {
-    isa::Program prog = findWorkload("comp").make({});
+    isa::Program prog = workloads::makeWorkload("comp");
     sim::MachineConfig warmup = testConfig(sim::Mode::Baseline);
 
-    sim::RunArtifacts art;
-    sim::Stats baseline = sim::runProgramChecked(
-        prog, warmup, "comp", 0, nullptr, &art, 5000);
-    ASSERT_FALSE(art.snapshot.empty());
+    sim::BatchResult baseline = runCell(prog, warmup, "comp", 5000);
+    ASSERT_TRUE(baseline.ok()) << baseline.error;
+    ASSERT_FALSE(baseline.artifacts.snapshot.empty());
 
     const sim::Mode fan[] = {sim::Mode::OracleDifficultPath,
                              sim::Mode::Microthread,
                              sim::Mode::OracleAllBranches};
     for (sim::Mode mode : fan) {
-        sim::MachineConfig cfg = testConfig(mode);
-        sim::Stats stats = sim::runProgramChecked(
-            prog, cfg, "comp/fanout", 0, nullptr, nullptr, 0,
-            &art.snapshot);
+        sim::BatchResult run = runCell(prog, testConfig(mode),
+                                       "comp/fanout", 0,
+                                       baseline.artifacts.snapshot);
+        ASSERT_TRUE(run.ok()) << run.error;
         // The machine fetches only correct-path instructions, so the
         // committed stream is mode-invariant even across a restore.
-        EXPECT_EQ(stats.retiredInsts, baseline.retiredInsts)
+        EXPECT_EQ(run.stats.retiredInsts, baseline.stats.retiredInsts)
             << sim::modeName(mode);
-        EXPECT_EQ(stats.condBranches, baseline.condBranches)
+        EXPECT_EQ(run.stats.condBranches, baseline.stats.condBranches)
             << sim::modeName(mode);
     }
 }
 
 TEST(SnapshotResume, RejectsWrongProgram)
 {
-    isa::Program comp = findWorkload("comp").make({});
-    isa::Program go = findWorkload("go").make({});
+    isa::Program comp = workloads::makeWorkload("comp");
+    isa::Program go = workloads::makeWorkload("go");
     sim::MachineConfig cfg = testConfig(sim::Mode::Microthread);
 
-    sim::RunArtifacts art;
-    sim::runProgramChecked(comp, cfg, "comp", 0, nullptr, &art, 5000);
-    ASSERT_FALSE(art.snapshot.empty());
+    sim::BatchResult art = runCell(comp, cfg, "comp", 5000);
+    ASSERT_FALSE(art.artifacts.snapshot.empty());
 
-    try {
-        sim::runProgramChecked(go, cfg, "go", 0, nullptr, nullptr, 0,
-                               &art.snapshot);
-        FAIL() << "expected SimError(ConfigInvalid)";
-    } catch (const sim::SimError &err) {
-        EXPECT_EQ(err.code(), sim::ErrorCode::ConfigInvalid);
-    }
+    EXPECT_EQ(runCell(go, cfg, "go", 0, art.artifacts.snapshot).errorCode,
+              sim::ErrorCode::ConfigInvalid);
 }
 
 TEST(SnapshotResume, RejectsStructurallyDifferentConfig)
 {
-    isa::Program prog = findWorkload("comp").make({});
+    isa::Program prog = workloads::makeWorkload("comp");
     sim::MachineConfig cfg = testConfig(sim::Mode::Microthread);
 
-    sim::RunArtifacts art;
-    sim::runProgramChecked(prog, cfg, "comp", 0, nullptr, &art, 5000);
-    ASSERT_FALSE(art.snapshot.empty());
+    sim::BatchResult art = runCell(prog, cfg, "comp", 5000);
+    ASSERT_FALSE(art.artifacts.snapshot.empty());
 
     sim::MachineConfig narrower = cfg;
     narrower.windowSize /= 2;
-    try {
-        sim::runProgramChecked(prog, narrower, "comp", 0, nullptr,
-                               nullptr, 0, &art.snapshot);
-        FAIL() << "expected SimError(ConfigInvalid)";
-    } catch (const sim::SimError &err) {
-        EXPECT_EQ(err.code(), sim::ErrorCode::ConfigInvalid);
-    }
+    EXPECT_EQ(
+        runCell(prog, narrower, "comp", 0, art.artifacts.snapshot)
+            .errorCode,
+        sim::ErrorCode::ConfigInvalid);
 }
 
 TEST(SnapshotResume, RejectsMalformedDocument)
 {
-    isa::Program prog = findWorkload("comp").make({});
+    isa::Program prog = workloads::makeWorkload("comp");
     sim::MachineConfig cfg = testConfig(sim::Mode::Microthread);
     std::string garbage = "{\"schema\": \"ssmt-snapshot-v1\", ";
-    try {
-        sim::runProgramChecked(prog, cfg, "comp", 0, nullptr, nullptr,
-                               0, &garbage);
-        FAIL() << "expected SimError(ParseError)";
-    } catch (const sim::SimError &err) {
-        EXPECT_EQ(err.code(), sim::ErrorCode::ParseError);
-    }
+    EXPECT_EQ(runCell(prog, cfg, "comp", 0, garbage).errorCode,
+              sim::ErrorCode::ParseError);
 }
 
 TEST(SnapshotResume, BatchResumesAcrossWatchdogSlices)
 {
-    workloads::WorkloadInfo info = findWorkload("comp");
+    isa::Program prog = workloads::makeWorkload("comp");
     sim::MachineConfig cfg = testConfig(sim::Mode::Microthread);
 
-    sim::Stats straight =
-        sim::runProgramChecked(info.make({}), cfg, "comp");
+    sim::Stats straight = sim::runProgramChecked(prog, cfg, "comp");
     ASSERT_GT(straight.cycles, 30000u);     // the budget must trip
 
     sim::BatchPolicy policy;
@@ -191,8 +174,7 @@ TEST(SnapshotResume, BatchResumesAcrossWatchdogSlices)
     policy.maxRetries = 8;
     policy.resumeOnWatchdog = true;
 
-    std::vector<sim::BatchJob> batch = {
-        {"comp", info.make({}), cfg}};
+    std::vector<sim::BatchJob> batch = {{"comp", prog, cfg}};
     std::vector<sim::BatchResult> results =
         sim::BatchRunner(1).run(batch, policy);
     ASSERT_TRUE(results[0].ok()) << results[0].error;
@@ -209,7 +191,7 @@ TEST(SnapshotResume, ResumedBatchesAgreeAcrossJobCounts)
 
     std::vector<sim::BatchJob> batch;
     for (const char *name : names)
-        batch.push_back({name, findWorkload(name).make({}), cfg});
+        batch.push_back({name, workloads::makeWorkload(name), cfg});
 
     sim::BatchPolicy policy;
     policy.cycleBudget = 100000;

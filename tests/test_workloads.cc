@@ -131,6 +131,14 @@ TEST(WorkloadRegistryTest, NamesMatchPaperSuite)
     }
 }
 
+TEST(WorkloadRegistryTest, FindWorkloadReturnsTheEntryOrNull)
+{
+    for (const auto &info : workloads::allWorkloads())
+        EXPECT_EQ(workloads::findWorkload(info.name), &info) << info.name;
+    EXPECT_EQ(workloads::findWorkload("spec2077"), nullptr);
+    EXPECT_EQ(workloads::findWorkload(""), nullptr);
+}
+
 TEST(WorkloadRegistryDeathTest, UnknownNameIsFatal)
 {
     EXPECT_EXIT(workloads::makeWorkload("spec2077"),

@@ -9,7 +9,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "sim/fsio.hh"
 #include "sim/jobs.hh"
 
 namespace ssmt
@@ -190,29 +189,6 @@ splitCommas(const std::string &arg)
     return out;
 }
 
-std::string
-readFile(const std::string &path)
-{
-    std::FILE *file = std::fopen(path.c_str(), "r");
-    if (!file)
-        return "";
-    std::string text;
-    char buf[4096];
-    size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0)
-        text.append(buf, got);
-    std::fclose(file);
-    return text;
-}
-
-bool
-writeFile(const std::string &path, const std::string &body)
-{
-    // Atomic (temp + fsync + rename): an interrupted tool must never
-    // leave a truncated golden/results/snapshot file behind.
-    return sim::writeFileAtomic(path, body);
-}
-
 std::vector<std::string>
 expandWorkloadList(const std::string &text)
 {
@@ -228,19 +204,14 @@ resolveWorkloads(const std::vector<std::string> &names,
     std::vector<workloads::WorkloadInfo> out;
     out.reserve(names.size());
     for (const std::string &name : names) {
-        bool found = false;
-        for (const auto &info : workloads::allWorkloads()) {
-            if (info.name == name) {
-                out.push_back(info);
-                found = true;
-                break;
-            }
-        }
-        if (!found) {
+        const workloads::WorkloadInfo *info =
+            workloads::findWorkload(name);
+        if (!info) {
             std::fprintf(stderr, "%s: unknown workload '%s'\n",
                          argv0.c_str(), name.c_str());
             std::exit(2);
         }
+        out.push_back(*info);
     }
     return out;
 }

@@ -3,9 +3,10 @@
  * Shared command-line plumbing for the ssmt_* tools.
  *
  * Every tool used to carry its own copy of the same argv loop,
- * usage() trampoline, readFile() and comma-splitter; this header is
- * the single implementation. An ArgParser is constructed from a flag
- * table and handles, uniformly across tools:
+ * usage() trampoline and comma-splitter; this header is the single
+ * implementation (file I/O goes through sim/fsio.hh). An ArgParser
+ * is constructed from a flag table and handles, uniformly across
+ * tools:
  *
  *   - value flags ("--golden-dir D"), boolean flags ("--update"),
  *     repeatable flags (every occurrence kept, e.g. --allow),
@@ -18,9 +19,9 @@
  *     numbers print to stderr and exit 2 (the shared "bad usage"
  *     status).
  *
- * Plus the tool-side helpers the parsers feed: splitCommas,
- * readFile/writeFile, and workload-name resolution against the
- * registry ("all" expands to the full suite; unknown names exit 2).
+ * Plus the tool-side helpers the parsers feed: splitCommas, and
+ * workload-name resolution against the registry ("all" expands to
+ * the full suite; unknown names exit 2).
  */
 
 #ifndef SSMT_TOOLS_CLI_COMMON_HH
@@ -131,13 +132,6 @@ predictorFlag(const ArgParser &args,
 
 /** Split "a,b,c" into {"a","b","c"}, dropping empty segments. */
 std::vector<std::string> splitCommas(const std::string &arg);
-
-/** Whole file as a string; "" when unreadable (callers that need to
- *  distinguish should stat first — no tool here does). */
-std::string readFile(const std::string &path);
-
-/** Write @p body to @p path. @return true when fully written. */
-bool writeFile(const std::string &path, const std::string &body);
 
 /** Expand a --workloads argument: "all" becomes every registered
  *  name, anything else is comma-split verbatim. */

@@ -218,18 +218,19 @@ parseOptions(int argc, char **argv)
         args.u64("--fault-start", spec.faults.startCycle);
     spec.faults.period =
         args.u64("--fault-period", spec.faults.period);
-    spec.isolate = args.has("--isolate");
-    spec.wallDeadlineMs =
-        args.u64("--deadline-ms", spec.wallDeadlineMs);
-    spec.memLimitMb = args.u64("--mem-limit-mb", spec.memLimitMb);
-    spec.cpuLimitSeconds =
-        args.u64("--cpu-limit", spec.cpuLimitSeconds);
-    spec.maxRetries = static_cast<unsigned>(
-        args.u64("--retries", spec.maxRetries));
-    spec.cycleBudget = args.u64("--budget", spec.cycleBudget);
-    spec.resumeOnWatchdog = args.has("--resume-watchdog");
-    spec.backoffMs = static_cast<unsigned>(
-        args.u64("--backoff-ms", spec.backoffMs));
+    sim::BatchPolicy &policy = spec.policy;
+    policy.isolate = args.has("--isolate");
+    policy.wallDeadlineMs =
+        args.u64("--deadline-ms", policy.wallDeadlineMs);
+    policy.memLimitMb = args.u64("--mem-limit-mb", policy.memLimitMb);
+    policy.cpuLimitSeconds =
+        args.u64("--cpu-limit", policy.cpuLimitSeconds);
+    policy.maxRetries = static_cast<unsigned>(
+        args.u64("--retries", policy.maxRetries));
+    policy.cycleBudget = args.u64("--budget", policy.cycleBudget);
+    policy.resumeOnWatchdog = args.has("--resume-watchdog");
+    policy.backoffMs = static_cast<unsigned>(
+        args.u64("--backoff-ms", policy.backoffMs));
     for (const std::string &text : args.all("--crash")) {
         size_t eq = text.find('=');
         if (eq == std::string::npos)
@@ -251,18 +252,18 @@ parseOptions(int argc, char **argv)
     if (!opt.server.empty() && opt.command != "run")
         args.fail("--server only applies to run (a re-submitted run "
                   "resumes naturally server-side)");
-    if (!opt.server.empty() && spec.isolate)
+    if (!opt.server.empty() && policy.isolate)
         args.fail("--isolate campaigns cannot run via --server (the "
                   "daemon refuses fork-based isolation)");
 
     if (opt.command == "run" && spec.workloads.empty())
         args.fail("run needs --workloads a,b,... (or 'all')");
-    if (!spec.isolate &&
-        (spec.wallDeadlineMs || spec.memLimitMb ||
-         spec.cpuLimitSeconds))
+    if (!policy.isolate &&
+        (policy.wallDeadlineMs || policy.memLimitMb ||
+         policy.cpuLimitSeconds))
         args.fail("--deadline-ms/--mem-limit-mb/--cpu-limit need "
                   "--isolate");
-    if (!spec.crashes.empty() && !spec.isolate)
+    if (!spec.crashes.empty() && !policy.isolate)
         args.fail("--crash needs --isolate (a deliberate crash must "
                   "be contained in a child process)");
     return opt;
@@ -343,7 +344,7 @@ cmdRunServer(const Options &opt)
         } else if (kind == "manifest") {
             std::string path = opt.dir + "/manifest.json";
             if (sim::ensureDir(opt.dir) &&
-                cli::writeFile(path, event.str("text"))) {
+                sim::writeFileAtomic(path, event.str("text"))) {
                 if (!opt.quiet)
                     std::fprintf(stderr,
                                  "[campaign] manifest: %s\n",

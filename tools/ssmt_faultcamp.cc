@@ -33,6 +33,7 @@
 #include "cli_common.hh"
 #include "sim/batch_runner.hh"
 #include "sim/faultinject.hh"
+#include "sim/fsio.hh"
 #include "sim/golden.hh"
 #include "sim/logging.hh"
 #include "sim/sim_error.hh"
@@ -111,7 +112,7 @@ parseOptions(int argc, char **argv)
     opt.seed = args.u64("--seed", opt.seed);
     opt.period = args.u64("--period", opt.period);
     opt.budget = args.u64("--budget", opt.budget);
-    opt.jobs = static_cast<unsigned>(args.u64("--jobs", opt.jobs));
+    opt.jobs = cli::jobsFlag(args);
     opt.goldenDir = args.str("--golden-dir");
     opt.outPath = args.str("--out");
     if (opt.sites.empty())
@@ -145,19 +146,14 @@ runCampaign(const Options &opt)
 {
     std::vector<workloads::WorkloadInfo> suite;
     for (const std::string &name : opt.workloads) {
-        bool found = false;
-        for (const auto &info : workloads::allWorkloads()) {
-            if (info.name == name) {
-                suite.push_back(info);
-                found = true;
-                break;
-            }
-        }
-        if (!found) {
+        const workloads::WorkloadInfo *info =
+            workloads::findWorkload(name);
+        if (!info) {
             std::fprintf(stderr, "unknown workload '%s'\n",
                          name.c_str());
             return 2;
         }
+        suite.push_back(*info);
     }
 
     // One clean reference cell per workload, then one faulted cell
@@ -206,7 +202,7 @@ runCampaign(const Options &opt)
             continue;
         std::string path = opt.goldenDir + "/" +
                            sim::goldenFileName(suite[w].name);
-        std::string text = cli::readFile(path);
+        std::string text = sim::readFileOrEmpty(path);
         sim::GoldenRun want;
         std::string err;
         if (text.empty() || !sim::parseGolden(text, want, &err)) {
@@ -312,7 +308,7 @@ runCampaign(const Options &opt)
     if (!opt.outPath.empty()) {
         // Atomic: a report half-written when the campaign host dies
         // must not masquerade as a finished one.
-        if (!cli::writeFile(opt.outPath, json)) {
+        if (!sim::writeFileAtomic(opt.outPath, json)) {
             std::fprintf(stderr, "cannot write %s\n",
                          opt.outPath.c_str());
             return 2;

@@ -34,9 +34,11 @@
  *
  * Each connection gets a handler thread; the accept loop joins
  * finished handlers as new connections arrive, so a long-lived
- * daemon holds threads only for live clients. A request line longer
- * than kMaxRequestBytes is answered with an error event naming the
- * limit, and that connection is closed.
+ * daemon holds threads only for live clients. On shutdown the
+ * daemon ends the read side of every live connection, so an idle
+ * client cannot hold it open; requests in flight still complete. A
+ * request line longer than kMaxRequestBytes is answered with an
+ * error event naming the limit, and that connection is closed.
  */
 
 #include <atomic>
@@ -60,7 +62,6 @@
 #include "cli_common.hh"
 #include "sim/campaign.hh"
 #include "sim/fsio.hh"
-#include "sim/golden.hh"
 #include "sim/job_codec.hh"
 #include "sim/jobs.hh"
 #include "sim/json_text.hh"
@@ -94,7 +95,8 @@ const char kUsage[] =
     "  --jobs N|auto   worker-pool width (default: SSMT_JOBS, cores)\n"
     "\n"
     "Protocol: ssmt-server-v1 line-delimited JSON (DESIGN.md §9).\n"
-    "SIGINT/SIGTERM stop accepting and exit once clients drain.\n";
+    "SIGINT/SIGTERM stop accepting and exit once requests in\n"
+    "flight finish; idle connections are closed.\n";
 
 std::atomic<bool> g_stop{false};
 int g_listen_fd = -1;
@@ -195,7 +197,7 @@ handleCampaign(ServerState &state, cli::LineSocket &sock,
                             err.what());
         return;
     }
-    if (spec.isolate) {
+    if (spec.policy.isolate) {
         sendError(sock,
                   "isolate specs are not served (fork from a "
                   "multithreaded daemon); use ssmt_campaign run "
@@ -287,8 +289,11 @@ handleCampaign(ServerState &state, cli::LineSocket &sock,
 // batch
 // --------------------------------------------------------------------
 
-/** A batch request cell: workload + mode under the golden or default
- *  config — the shapes ssmt_verify_golden and the benches need. */
+/** A batch request cell: workload + mode on the Table 3 machine —
+ *  the shapes ssmt_verify_golden and the benches need. The
+ *  optional 'config' names that machine: "golden" and "default"
+ *  differ only in mode, which the cell sets, so both build the same
+ *  MachineConfig. */
 bool
 parseBatchCell(const sim::JsonValue &entry, sim::BatchJob *job,
                std::string *err)
@@ -298,10 +303,9 @@ parseBatchCell(const sim::JsonValue &entry, sim::BatchJob *job,
         *err = "batch cell needs a 'workload'";
         return false;
     }
-    bool known = false;
-    for (const auto &info : workloads::allWorkloads())
-        known = known || info.name == workload;
-    if (!known) {
+    const workloads::WorkloadInfo *info =
+        workloads::findWorkload(workload);
+    if (!info) {
         *err = "unknown workload '" + workload + "'";
         return false;
     }
@@ -311,18 +315,13 @@ parseBatchCell(const sim::JsonValue &entry, sim::BatchJob *job,
         return false;
     }
     std::string config_name = entry.str("config");
-    if (config_name.empty())
-        config_name = "golden";
-    sim::MachineConfig config;
-    if (config_name == "golden") {
-        config = sim::goldenMachineConfig();
-    } else if (config_name == "default") {
-        config = sim::MachineConfig{};
-    } else {
+    if (!config_name.empty() && config_name != "golden" &&
+        config_name != "default") {
         *err = "unknown config '" + config_name +
                "' (accepted: golden, default)";
         return false;
     }
+    sim::MachineConfig config;
     config.mode = mode;
     if (const sim::JsonValue *max_insts = entry.find("maxInsts"))
         if (max_insts->isInteger && max_insts->integer > 0)
@@ -339,7 +338,7 @@ parseBatchCell(const sim::JsonValue &entry, sim::BatchJob *job,
     job->name = entry.str("name");
     if (job->name.empty())
         job->name = workload + "/" + sim::modeName(mode);
-    job->program = workloads::makeWorkload(workload, params);
+    job->program = info->make(params);
     job->config = config;
     return true;
 }
@@ -414,10 +413,22 @@ handleStatus(ServerState &state, cli::LineSocket &sock)
     e.sendTo(sock);
 }
 
-void
-serveConnection(ServerState &state, int fd)
+/** One connection's handler thread. The handler closes its socket
+ *  and flips `finished` under `mutex`, so a stopping daemon can shut
+ *  the read side of a live connection without racing that close
+ *  (and hitting a reused fd). */
+struct Connection
 {
-    cli::LineSocket sock(fd);
+    int fd = -1;
+    std::thread thread;
+    std::mutex mutex;
+    std::atomic<bool> finished{false};
+};
+
+void
+serveConnection(ServerState &state, Connection &conn)
+{
+    cli::LineSocket sock(conn.fd);
     std::string line;
     while (sock.recvLine(&line, kMaxRequestBytes)) {
         if (line.empty())
@@ -464,15 +475,10 @@ serveConnection(ServerState &state, int fd)
                             std::to_string(kMaxRequestBytes) +
                             " bytes; closing connection");
     }
+    std::lock_guard<std::mutex> lock(conn.mutex);
+    sock.close();
+    conn.finished.store(true, std::memory_order_release);
 }
-
-/** One connection's handler thread. `finished` flips as the handler
- *  returns, so the accept loop can join it. */
-struct Connection
-{
-    std::thread thread;
-    std::atomic<bool> finished{false};
-};
 
 /** Join and drop every handler that has returned. */
 void
@@ -574,13 +580,20 @@ main(int argc, char **argv)
         }
         reapFinished(connections);
         Connection &conn = connections.emplace_back();
-        conn.thread = std::thread([&state, fd, &conn] {
-            serveConnection(state, fd);
-            conn.finished.store(true, std::memory_order_release);
-        });
+        conn.fd = fd;
+        conn.thread = std::thread(
+            [&state, &conn] { serveConnection(state, conn); });
     }
 
-    // Live connections drain before exit.
+    // A client that stays connected must not keep a stopping daemon
+    // alive: end the read side of every live connection, so a
+    // handler idling in recvLine sees EOF. A request in flight still
+    // finishes and sends its reply before its handler reads again.
+    for (Connection &conn : connections) {
+        std::lock_guard<std::mutex> lock(conn.mutex);
+        if (!conn.finished.load(std::memory_order_relaxed))
+            ::shutdown(conn.fd, SHUT_RD);
+    }
     for (Connection &conn : connections)
         conn.thread.join();
     ::unlink(socket_path.c_str());

@@ -49,11 +49,11 @@
 
 #include "cli_common.hh"
 #include "sim/batch_runner.hh"
+#include "sim/fsio.hh"
 #include "sim/golden.hh"
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
 #include "sim/sim_error.hh"
-#include "sim/sim_runner.hh"
 #include "sim/snapshot.hh"
 #include "workloads/workloads.hh"
 
@@ -125,12 +125,7 @@ parseOptions(int argc, char **argv)
     opt.cycle = args.u64("--cycle");
     opt.sampleInterval =
         args.u64("--sample-interval", opt.sampleInterval);
-    if (args.has("--jobs")) {
-        uint64_t jobs = args.u64("--jobs");
-        if (jobs == 0)
-            args.fail("--jobs must be >= 1");
-        opt.jobs = static_cast<unsigned>(jobs);
-    }
+    opt.jobs = cli::jobsFlag(args);
     opt.outDir = args.str("--out-dir", opt.outDir);
     opt.goldenDir = args.str("--golden-dir");
     opt.snapshotPath = args.str("--snapshot");
@@ -163,28 +158,56 @@ makeConfig(const Options &opt, sim::Mode mode)
 }
 
 /**
- * Run @p prog straight through, checkpointing at @p cycle. When the
- * run halts before the checkpoint fires (short workload), rerun with
- * the checkpoint at half the observed run length. @return the cycle
- * the snapshot was actually captured at (0 = even the fallback could
- * not produce one).
+ * Print the failed slots of @p results (one line each) and count
+ * them.
  */
-uint64_t
-runWithSnapshot(const isa::Program &prog,
-                const sim::MachineConfig &cfg,
-                const std::string &label, uint64_t cycle,
-                sim::Stats &stats, sim::RunArtifacts &artifacts)
+int
+reportFailures(const std::vector<sim::BatchJob> &batch,
+               const std::vector<sim::BatchResult> &results)
 {
-    stats = sim::runProgramChecked(prog, cfg, label, 0, nullptr,
-                                   &artifacts, cycle);
-    if (!artifacts.snapshot.empty())
-        return artifacts.snapshotCycle;
-    uint64_t fallback = stats.cycles / 2;
-    if (fallback == 0)
-        return 0;
-    stats = sim::runProgramChecked(prog, cfg, label, 0, nullptr,
-                                   &artifacts, fallback);
-    return artifacts.snapshot.empty() ? 0 : artifacts.snapshotCycle;
+    std::fputs(sim::BatchRunner::failureSummary(batch, results).c_str(),
+               stderr);
+    int failures = 0;
+    for (const sim::BatchResult &result : results)
+        failures += result.ok() ? 0 : 1;
+    return failures;
+}
+
+/**
+ * Run every workload of @p suite straight through under @p cfg,
+ * checkpointing at --cycle; @p batch receives the jobs. Jobs that
+ * halt before their checkpoint fires (short workloads) run again in
+ * a second batch, checkpointing at half their observed run length.
+ * A successful result with an empty snapshot means even that
+ * fallback could not produce one.
+ */
+std::vector<sim::BatchResult>
+runWithSnapshots(const Options &opt,
+                 const std::vector<workloads::WorkloadInfo> &suite,
+                 const sim::MachineConfig &cfg,
+                 std::vector<sim::BatchJob> &batch)
+{
+    for (const workloads::WorkloadInfo &info : suite) {
+        batch.push_back({info.name, info.make({}), cfg});
+        batch.back().snapshotAtCycle = opt.cycle;
+    }
+    sim::BatchRunner runner(opt.jobs);
+    std::vector<sim::BatchResult> results = runner.run(batch);
+    std::vector<size_t> short_runs;
+    std::vector<sim::BatchJob> retry;
+    for (size_t i = 0; i < batch.size(); i++) {
+        uint64_t fallback = results[i].stats.cycles / 2;
+        if (results[i].ok() && results[i].artifacts.snapshot.empty() &&
+            fallback > 0) {
+            batch[i].snapshotAtCycle = fallback;
+            short_runs.push_back(i);
+            retry.push_back(batch[i]);
+        }
+    }
+    std::vector<sim::BatchResult> rerun = runner.run(retry);
+    for (size_t k = 0; k < short_runs.size(); k++)
+        results[short_runs[k]] = std::move(rerun[k]);
+    return results;
 }
 
 int
@@ -193,45 +216,35 @@ runSave(const Options &opt)
     std::vector<workloads::WorkloadInfo> suite =
         cli::resolveWorkloads(opt.workloads, "ssmt_snapshot");
     sim::MachineConfig cfg = makeConfig(opt, opt.mode);
+    std::vector<sim::BatchJob> batch;
+    std::vector<sim::BatchResult> results =
+        runWithSnapshots(opt, suite, cfg, batch);
 
-    std::vector<std::string> errors(suite.size());
-    sim::BatchRunner runner(opt.jobs);
-    runner.forEach(suite.size(), [&](size_t i) {
-        const std::string &name = suite[i].name;
-        try {
-            sim::Stats stats;
-            sim::RunArtifacts artifacts;
-            uint64_t at = runWithSnapshot(suite[i].make({}), cfg,
-                                          name, opt.cycle, stats,
-                                          artifacts);
-            if (at == 0) {
-                errors[i] = "run too short to checkpoint";
-                return;
-            }
-            std::string path =
-                opt.outDir + "/" + name + ".snapshot.json";
-            if (!cli::writeFile(path, artifacts.snapshot)) {
-                errors[i] = "cannot write " + path;
-                return;
-            }
-            std::printf("%s: snapshot at cycle %llu (%zu bytes, "
-                        "mode %s) -> %s\n",
-                        name.c_str(),
-                        static_cast<unsigned long long>(at),
-                        artifacts.snapshot.size(),
-                        sim::modeName(cfg.mode), path.c_str());
-        } catch (const std::exception &err) {
-            errors[i] = err.what();
-        }
-    });
-
-    int failures = 0;
-    for (size_t i = 0; i < suite.size(); i++) {
-        if (errors[i].empty())
+    int failures = reportFailures(batch, results);
+    for (size_t i = 0; i < batch.size(); i++) {
+        if (!results[i].ok())
             continue;
-        std::fprintf(stderr, "%s: %s\n", suite[i].name.c_str(),
-                     errors[i].c_str());
-        failures++;
+        const std::string &name = batch[i].name;
+        const sim::RunArtifacts &artifacts = results[i].artifacts;
+        std::string path = opt.outDir + "/" + name + ".snapshot.json";
+        std::string error;
+        if (artifacts.snapshot.empty())
+            error = "run too short to checkpoint";
+        else if (!sim::writeFileAtomic(path, artifacts.snapshot))
+            error = "cannot write " + path;
+        if (!error.empty()) {
+            std::fprintf(stderr, "%s: %s\n", name.c_str(),
+                         error.c_str());
+            failures++;
+            continue;
+        }
+        std::printf("%s: snapshot at cycle %llu (%zu bytes, "
+                    "mode %s) -> %s\n",
+                    name.c_str(),
+                    static_cast<unsigned long long>(
+                        artifacts.snapshotCycle),
+                    artifacts.snapshot.size(), sim::modeName(cfg.mode),
+                    path.c_str());
     }
     return failures ? 1 : 0;
 }
@@ -239,7 +252,7 @@ runSave(const Options &opt)
 int
 runFanout(const Options &opt)
 {
-    std::string snapshot = cli::readFile(opt.snapshotPath);
+    std::string snapshot = sim::readFileOrEmpty(opt.snapshotPath);
     if (snapshot.empty()) {
         std::fprintf(stderr, "cannot read %s\n",
                      opt.snapshotPath.c_str());
@@ -249,48 +262,64 @@ runFanout(const Options &opt)
         cli::resolveWorkloads(opt.workloads, "ssmt_snapshot");
     isa::Program prog = suite[0].make({});
 
-    const sim::Mode fan[] = {sim::Mode::OracleDifficultPath,
-                             sim::Mode::Microthread,
-                             sim::Mode::MicrothreadNoPredictions,
-                             sim::Mode::OracleAllBranches};
-    const size_t n = sizeof(fan) / sizeof(fan[0]);
-    std::vector<sim::Stats> stats(n);
-    std::vector<std::string> errors(n);
-    sim::BatchRunner runner(opt.jobs);
-    runner.forEach(n, [&](size_t i) {
-        try {
-            sim::MachineConfig cfg = makeConfig(opt, fan[i]);
-            std::string label = suite[0].name + "/" +
-                                sim::modeName(fan[i]);
-            stats[i] = sim::runProgramChecked(
-                prog, cfg, label, 0, nullptr, nullptr, 0, &snapshot);
-        } catch (const std::exception &err) {
-            errors[i] = err.what();
-        }
-    });
+    std::vector<sim::BatchJob> batch;
+    for (sim::Mode mode : {sim::Mode::OracleDifficultPath,
+                           sim::Mode::Microthread,
+                           sim::Mode::MicrothreadNoPredictions,
+                           sim::Mode::OracleAllBranches}) {
+        batch.push_back({suite[0].name + "/" + sim::modeName(mode),
+                         prog, makeConfig(opt, mode)});
+        batch.back().resumeFrom = snapshot;
+    }
+    std::vector<sim::BatchResult> results =
+        sim::BatchRunner(opt.jobs).run(batch);
 
     std::printf("fanout %s from %s (captured at cycle %llu)\n",
                 suite[0].name.c_str(), opt.snapshotPath.c_str(),
                 static_cast<unsigned long long>(
                     sim::snapshotCycle(snapshot)));
-    int failures = 0;
-    for (size_t i = 0; i < n; i++) {
-        if (!errors[i].empty()) {
-            std::fprintf(stderr, "%s: %s\n", sim::modeName(fan[i]),
-                         errors[i].c_str());
-            failures++;
+    int failures = reportFailures(batch, results);
+    for (size_t i = 0; i < batch.size(); i++) {
+        if (!results[i].ok())
             continue;
-        }
+        const sim::Stats &stats = results[i].stats;
         std::printf("  %-28s cycles %-10llu retired %-10llu "
                     "usedMispredicts %llu\n",
-                    sim::modeName(fan[i]),
-                    static_cast<unsigned long long>(stats[i].cycles),
+                    sim::modeName(batch[i].config.mode),
+                    static_cast<unsigned long long>(stats.cycles),
+                    static_cast<unsigned long long>(stats.retiredInsts),
                     static_cast<unsigned long long>(
-                        stats[i].retiredInsts),
-                    static_cast<unsigned long long>(
-                        stats[i].usedMispredicts));
+                        stats.usedMispredicts));
     }
     return failures ? 1 : 0;
+}
+
+/** Why @p straight and its @p resumed continuation of workload
+ *  @p name fail verification ("" = they pass). */
+std::string
+verifyPair(const Options &opt, const std::string &name,
+           const sim::BatchResult &straight,
+           const sim::BatchResult &resumed)
+{
+    std::string straight_golden = sim::goldenJson(
+        {name, sim::kGoldenConfigName, straight.stats});
+    if (sim::goldenJson({name, sim::kGoldenConfigName, resumed.stats}) !=
+        straight_golden)
+        return "resumed golden stats differ from straight-through run";
+    if (sim::seriesJson(straight.artifacts.series) !=
+        sim::seriesJson(resumed.artifacts.series))
+        return "resumed metrics series differs from straight-through "
+               "run";
+    if (opt.goldenDir.empty())
+        return "";
+    std::string path = opt.goldenDir + "/" + sim::goldenFileName(name);
+    std::string want = sim::readFileOrEmpty(path);
+    if (want.empty())
+        return "cannot read " + path;
+    if (straight_golden != want)
+        return "straight-through golden stats differ from committed " +
+               path;
+    return "";
 }
 
 int
@@ -303,80 +332,55 @@ runVerify(const Options &opt)
     // golden/ snapshots too.
     sim::MachineConfig cfg =
         makeConfig(opt, sim::goldenMachineConfig().mode);
+    std::vector<sim::BatchJob> straight;
+    std::vector<sim::BatchResult> straight_results =
+        runWithSnapshots(opt, suite, cfg, straight);
 
-    std::vector<std::string> errors(suite.size());
-    std::vector<std::string> notes(suite.size());
-    sim::BatchRunner runner(opt.jobs);
-    runner.forEach(suite.size(), [&](size_t i) {
-        const std::string &name = suite[i].name;
-        try {
-            isa::Program prog = suite[i].make({});
-
-            sim::Stats straight;
-            sim::RunArtifacts straightArt;
-            uint64_t at =
-                runWithSnapshot(prog, cfg, name, opt.cycle, straight,
-                                straightArt);
-            if (at == 0) {
-                errors[i] = "run too short to checkpoint";
-                return;
-            }
-
-            sim::RunArtifacts resumedArt;
-            sim::Stats resumed = sim::runProgramChecked(
-                prog, cfg, name + "/resumed", 0, nullptr,
-                &resumedArt, 0, &straightArt.snapshot);
-
-            std::string straightGolden = sim::goldenJson(
-                {name, sim::kGoldenConfigName, straight});
-            std::string resumedGolden = sim::goldenJson(
-                {name, sim::kGoldenConfigName, resumed});
-            if (straightGolden != resumedGolden) {
-                errors[i] = "resumed golden stats differ from "
-                            "straight-through run";
-                return;
-            }
-            if (sim::seriesJson(straightArt.series) !=
-                sim::seriesJson(resumedArt.series)) {
-                errors[i] = "resumed metrics series differs from "
-                            "straight-through run";
-                return;
-            }
-            if (!opt.goldenDir.empty()) {
-                std::string path = opt.goldenDir + "/" +
-                                   sim::goldenFileName(name);
-                std::string want = cli::readFile(path);
-                if (want.empty()) {
-                    errors[i] = "cannot read " + path;
-                    return;
-                }
-                if (straightGolden != want) {
-                    errors[i] = "straight-through golden stats "
-                                "differ from committed " + path;
-                    return;
-                }
-            }
-            notes[i] =
-                "verified at cycle " + std::to_string(at) + " (" +
-                std::to_string(straightArt.snapshot.size()) +
-                "-byte snapshot, golden + series byte-identical" +
-                (opt.goldenDir.empty() ? ")"
-                                       : ", matches committed)");
-        } catch (const std::exception &err) {
-            errors[i] = err.what();
-        }
-    });
-
-    int failures = 0;
+    // Resume every checkpoint in a fresh machine.
+    int failures = reportFailures(straight, straight_results);
+    std::vector<size_t> resumed_of;
+    std::vector<sim::BatchJob> resumed;
     for (size_t i = 0; i < suite.size(); i++) {
-        if (!errors[i].empty()) {
-            std::fprintf(stderr, "VERIFY FAIL %s: %s\n",
-                         suite[i].name.c_str(), errors[i].c_str());
+        const sim::BatchResult &result = straight_results[i];
+        if (!result.ok())
+            continue;
+        if (result.artifacts.snapshot.empty()) {
+            std::fprintf(stderr,
+                         "VERIFY FAIL %s: run too short to checkpoint\n",
+                         suite[i].name.c_str());
             failures++;
-        } else {
-            std::printf("%s: %s\n", suite[i].name.c_str(),
-                        notes[i].c_str());
+            continue;
         }
+        resumed_of.push_back(i);
+        resumed.push_back({suite[i].name + "/resumed",
+                           std::move(straight[i].program), cfg});
+        resumed.back().resumeFrom = result.artifacts.snapshot;
+    }
+    std::vector<sim::BatchResult> resumed_results =
+        sim::BatchRunner(opt.jobs).run(resumed);
+    failures += reportFailures(resumed, resumed_results);
+
+    for (size_t k = 0; k < resumed.size(); k++) {
+        if (!resumed_results[k].ok())
+            continue;
+        const std::string &name = suite[resumed_of[k]].name;
+        const sim::BatchResult &result = straight_results[resumed_of[k]];
+        std::string error =
+            verifyPair(opt, name, result, resumed_results[k]);
+        if (!error.empty()) {
+            std::fprintf(stderr, "VERIFY FAIL %s: %s\n", name.c_str(),
+                         error.c_str());
+            failures++;
+            continue;
+        }
+        std::printf("%s: verified at cycle %llu (%zu-byte snapshot, "
+                    "golden + series byte-identical%s)\n",
+                    name.c_str(),
+                    static_cast<unsigned long long>(
+                        result.artifacts.snapshotCycle),
+                    result.artifacts.snapshot.size(),
+                    opt.goldenDir.empty() ? ""
+                                          : ", matches committed");
     }
     std::printf("[snapshot-verify] %zu workloads, %d failure%s\n",
                 suite.size(), failures, failures == 1 ? "" : "s");

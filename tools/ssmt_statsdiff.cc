@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "cli_common.hh"
+#include "sim/fsio.hh"
 #include "sim/golden.hh"
 
 namespace
@@ -74,7 +75,7 @@ main(int argc, char **argv)
 
     sim::GoldenRun golden, candidate;
     for (int side = 0; side < 2; side++) {
-        std::string text = cli::readFile(files[side]);
+        std::string text = sim::readFileOrEmpty(files[side]);
         if (text.empty()) {
             std::fprintf(stderr, "%s: cannot read %s\n", argv[0],
                          files[side].c_str());

@@ -35,6 +35,7 @@
 #include "cli_common.hh"
 #include "cpu/trace.hh"
 #include "sim/batch_runner.hh"
+#include "sim/fsio.hh"
 #include "sim/golden.hh"
 #include "sim/metrics.hh"
 #include "workloads/workloads.hh"
@@ -99,12 +100,7 @@ parseOptions(int argc, char **argv)
     if (opt.scale == 0)
         args.fail("--scale must be >= 1");
     opt.seed = args.u64("--seed", opt.seed);
-    if (args.has("--jobs")) {
-        uint64_t jobs = args.u64("--jobs");
-        if (jobs == 0)
-            args.fail("--jobs must be >= 1");
-        opt.jobs = static_cast<unsigned>(jobs);
-    }
+    opt.jobs = cli::jobsFlag(args);
     opt.outDir = args.str("--out-dir", opt.outDir);
     opt.jsonl = args.has("--jsonl");
     if (!args.has("--workload"))
@@ -139,24 +135,17 @@ main(int argc, char **argv)
     std::vector<sim::BatchJob> batch;
     batch.reserve(opt.workloads.size());
     for (const std::string &name : opt.workloads) {
-        bool found = false;
-        for (const auto &info : workloads::allWorkloads()) {
-            if (info.name == name) {
-                sim::MachineConfig job_cfg = cfg;
-                if (opt.jsonl) {
-                    job_cfg.tracePath =
-                        opt.outDir + "/" + name + ".trace.jsonl";
-                }
-                batch.push_back({name, info.make(params), job_cfg});
-                found = true;
-                break;
-            }
-        }
-        if (!found) {
+        const workloads::WorkloadInfo *info =
+            workloads::findWorkload(name);
+        if (!info) {
             std::fprintf(stderr, "unknown workload '%s'\n",
                          name.c_str());
             return 2;
         }
+        sim::MachineConfig job_cfg = cfg;
+        if (opt.jsonl)
+            job_cfg.tracePath = opt.outDir + "/" + name + ".trace.jsonl";
+        batch.push_back({name, info->make(params), job_cfg});
     }
 
     sim::BatchRunner runner(opt.jobs);
@@ -194,9 +183,8 @@ main(int argc, char **argv)
         if (opt.traceCapacity > 0) {
             std::string path =
                 opt.outDir + "/" + name + ".trace.json";
-            if (!cli::writeFile(path,
-                                cpu::chromeTraceJson(
-                                    result.artifacts.trace))) {
+            if (!sim::writeFileAtomic(
+                    path, cpu::chromeTraceJson(result.artifacts.trace))) {
                 std::fprintf(stderr, "%s: cannot write %s\n",
                              name.c_str(), path.c_str());
                 failures++;

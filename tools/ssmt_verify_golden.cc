@@ -5,8 +5,8 @@
  * counter drift against the committed golden/<workload>.json
  * snapshots that is not covered by the allowlist.
  *
- * Invariant checking rides along for free: runProgram/BatchRunner
- * panic with the violated relation's name on any inconsistent run,
+ * Invariant checking rides along for free: BatchRunner fails any
+ * inconsistent run with an InvariantViolation naming the relation,
  * so a passing verify-golden certifies both "same numbers as the
  * committed snapshots" and "zero invariant violations".
  *
@@ -41,6 +41,7 @@
 
 #include "cli_common.hh"
 #include "sim/batch_runner.hh"
+#include "sim/fsio.hh"
 #include "sim/golden.hh"
 #include "sim/invariants.hh"
 #include "sim/job_codec.hh"
@@ -92,12 +93,7 @@ parseOptions(int argc, char **argv)
     opt.allowlistPath = args.str("--allowlist");
     if (args.has("--workloads"))
         opt.workloads = cli::splitCommas(args.str("--workloads"));
-    if (args.has("--jobs")) {
-        uint64_t jobs = args.u64("--jobs");
-        if (jobs == 0)
-            args.fail("--jobs must be >= 1");
-        opt.jobs = static_cast<unsigned>(jobs);
-    }
+    opt.jobs = cli::jobsFlag(args);
     opt.server = args.str("--server");
     opt.update = args.has("--update");
     opt.differential = args.has("--differential");
@@ -294,9 +290,9 @@ main(int argc, char **argv)
         opt.allowlistPath, &allowlistExisted);
 
     // ---- Replay the suite under the pinned golden config ----
-    // BatchRunner/runProgram panic with the violated relation on any
-    // invariant inconsistency, so results coming back means every
-    // run passed the StatsChecker and structural checks.
+    // BatchRunner fails a run with the violated relation on any
+    // invariant inconsistency, so results coming back clean means
+    // every run passed the StatsChecker and structural checks.
     sim::MachineConfig golden_cfg = sim::goldenMachineConfig();
     std::vector<sim::BatchJob> batch;
     batch.reserve(suite.size());
@@ -350,7 +346,7 @@ main(int argc, char **argv)
         const std::string &name = suite[i].name;
         std::string path =
             opt.goldenDir + "/" + sim::goldenFileName(name);
-        std::string text = cli::readFile(path);
+        std::string text = sim::readFileOrEmpty(path);
         if (text.empty()) {
             std::fprintf(stderr,
                          "missing golden snapshot %s (run "

@@ -7,7 +7,10 @@
 # must be rejected without taking the daemon down. Then re-submit
 # (all cache hits must still reproduce the bytes) and run
 # ssmt_verify_golden --server so a remote batch decodes to the same
-# counters as local execution.
+# counters as local execution; "golden", "default" and no batch
+# config name must run the same machine. Last, a shutdown request
+# must stop the daemon within 5 s while an idle client stays
+# connected.
 #
 # Usage: tier2_server_smoke.sh <bindir>   (dir holding the ssmt_*
 # binaries; runs in $PWD, which ctest sets to the build dir).
@@ -127,7 +130,85 @@ echo "[smoke] remote verify-golden batch"
 "$BIN/ssmt_verify_golden" --server "$SOCK" --workloads comp,mcf_2k \
     --golden-dir "${SSMT_GOLDEN_DIR:?set by ctest}" --differential
 
-kill "$SERVER_PID"
-wait "$SERVER_PID" 2>/dev/null || true
+# A batch cell's optional config name: "golden", "default" and an
+# absent field run the same machine, and an unknown name is refused.
+echo "[smoke] batch config names"
+python3 - "$SOCK" >"$WORK/config-names.log" 2>&1 <<'PY'
+import json, socket, sys
+s = socket.socket(socket.AF_UNIX)
+s.connect(sys.argv[1])
+f = s.makefile()
+def batch(config):
+    cell = {"workload": "comp", "mode": "microthread", "maxInsts": 20000}
+    if config is not None:
+        cell["config"] = config
+    s.sendall((json.dumps({"schema": "ssmt-server-v1", "cmd": "batch",
+                           "cells": [cell]}) + "\n").encode())
+    docs = []
+    while True:
+        event = json.loads(f.readline())
+        if event["event"] == "job":
+            docs.append(event["doc"])
+        elif event["event"] in ("done", "error"):
+            return docs, event
+docs = [batch(name)[0] for name in ("golden", "default", None)]
+assert docs[0] and docs[0] == docs[1] == docs[2], "config names differ"
+_, event = batch("bogus")
+assert event["event"] == "error" and "unknown config" in event["message"]
+print("config names ok")
+PY
+if ! grep -q "config names ok" "$WORK/config-names.log"; then
+    echo "[smoke] FAIL: batch config names" >&2
+    cat "$WORK/config-names.log" >&2
+    exit 1
+fi
+
+# An idle client must not keep a stopping daemon alive: hold one
+# connection open (after a ping, so its handler is live) across a
+# shutdown request and require the daemon to exit within 5 s.
+echo "[smoke] shutdown with an idle client connected"
+python3 - "$SOCK" >"$WORK/idle.log" 2>&1 <<'PY' &
+import socket, sys, time
+s = socket.socket(socket.AF_UNIX)
+s.connect(sys.argv[1])
+s.sendall(b'{"schema":"ssmt-server-v1","cmd":"ping"}\n')
+print(s.makefile().readline().strip(), flush=True)
+time.sleep(60)
+PY
+IDLE_PID=$!
+trap 'kill "$SERVER_PID" "$IDLE_PID" 2>/dev/null || true' EXIT
+tries=0
+until grep -q pong "$WORK/idle.log"; do
+    tries=$((tries + 1))
+    if [ "$tries" -gt 50 ]; then
+        echo "[smoke] FAIL: idle client never got its pong" >&2
+        cat "$WORK/idle.log" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
+python3 - "$SOCK" >"$WORK/shutdown.log" 2>&1 <<'PY'
+import socket, sys
+s = socket.socket(socket.AF_UNIX)
+s.connect(sys.argv[1])
+s.sendall(b'{"schema":"ssmt-server-v1","cmd":"shutdown"}\n')
+print(s.makefile().readline().strip())
+PY
+# A daemon still running after 5 s is SIGKILLed, which shows as a
+# nonzero exit status; a clean shutdown exits 0.
+(sleep 5; kill -KILL "$SERVER_PID" 2>/dev/null) >/dev/null 2>&1 &
+WATCHDOG_PID=$!
+status=0
+wait "$SERVER_PID" || status=$?
+kill "$WATCHDOG_PID" 2>/dev/null || true
+if [ "$status" -ne 0 ]; then
+    echo "[smoke] FAIL: daemon did not exit within 5 s of shutdown" \
+        "with an idle client connected (status $status)" >&2
+    cat "$WORK/shutdown.log" "$WORK/server.log" >&2
+    exit 1
+fi
+kill "$IDLE_PID" 2>/dev/null || true
+wait "$IDLE_PID" 2>/dev/null || true
 trap - EXIT
+echo "[smoke] daemon exited with an idle client connected"
 echo "[smoke] OK"
